@@ -11,16 +11,19 @@
 //! cargo run -p naas-bench --release --bin bench_json [-- OUT.json]
 //! ```
 //!
-//! The default output path is `BENCH_9.json`. Each measurement is the
-//! median of several timed iterations after a warmup pass — noisier
-//! than criterion's estimator, but dependency-light and fast enough to
-//! run on every perf-relevant change.
+//! The default output path is the next free `BENCH_<n>.json` in the
+//! working directory (one past the highest existing number), and the
+//! summary's `bench` label is the output file's stem. Each measurement
+//! is the median of several timed iterations after a warmup pass —
+//! noisier than criterion's estimator, but dependency-light and fast
+//! enough to run on every perf-relevant change.
 
 use naas::service::{BatchEvalService, ServiceConfig, ServiceServer};
 use naas::MappingSearchConfig;
 use naas_opt::{EncodingScheme, MappingEncoder, Optimizer, RandomSearch};
 use serde::Value;
 use std::net::TcpListener;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -451,10 +454,39 @@ fn pareto_search() -> Value {
     ])
 }
 
+/// The trajectory number of a `BENCH_<n>.json` file name.
+fn bench_number(name: &str) -> Option<u64> {
+    name.strip_prefix("BENCH_")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
+/// One past the highest `BENCH_<n>.json` in `dir` (`BENCH_1.json` when
+/// there is none).
+fn next_bench_path(dir: &Path) -> String {
+    let highest = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| bench_number(&entry.file_name().to_string_lossy()))
+        .max()
+        .unwrap_or(0);
+    format!("BENCH_{}.json", highest + 1)
+}
+
+/// The summary's `bench` label: the output file's stem.
+fn bench_label(out: &str) -> String {
+    Path::new(out).file_stem().map_or_else(
+        || out.to_string(),
+        |stem| stem.to_string_lossy().into_owned(),
+    )
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "BENCH_9.json".to_string());
+        .unwrap_or_else(|| next_bench_path(Path::new(".")));
 
     eprintln!("bench_json: timing mapping_throughput workloads...");
     let mapping = mapping_throughput();
@@ -466,7 +498,7 @@ fn main() {
     let pareto = pareto_search();
 
     let summary = obj(vec![
-        ("bench", Value::Str("BENCH_9".to_string())),
+        ("bench", Value::Str(bench_label(&out))),
         (
             "description",
             Value::Str(
@@ -489,4 +521,29 @@ fn main() {
     });
     println!("{text}");
     eprintln!("bench_json: wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn output_name_and_label_follow_the_trajectory() {
+        assert_eq!(bench_number("BENCH_9.json"), Some(9));
+        assert_eq!(bench_number("BENCH_12.json"), Some(12));
+        assert_eq!(bench_number("BENCH_x.json"), None);
+        assert_eq!(bench_number("BENCHMARK.json"), None);
+
+        let dir = std::env::temp_dir().join(format!("bench-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(next_bench_path(&dir), "BENCH_1.json");
+        for name in ["BENCH_7.json", "BENCH_10.json", "BENCHMARK.json"] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
+        assert_eq!(next_bench_path(&dir), "BENCH_11.json");
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(bench_label("BENCH_11.json"), "BENCH_11");
+        assert_eq!(bench_label("out/nightly.json"), "nightly");
+    }
 }

@@ -154,9 +154,11 @@ pub struct AccelSearchResult {
     pub history: Vec<IterationStats>,
     /// Total valid candidate evaluations.
     pub evaluations: usize,
-    /// The engine's cache counters as of this search's last generation.
-    /// Counters are engine-lifetime: on a shared engine they include
-    /// traffic from everything else that ran on it.
+    /// The engine's cache counters as of this search's last generation
+    /// (for a distributed search, the fleet's summed counters — see
+    /// `DistributedCoordinator::fleet_cache_stats`). Counters are
+    /// engine-lifetime: on a shared engine they include traffic from
+    /// everything else that ran on it.
     pub cache_stats: CacheStats,
 }
 

@@ -51,9 +51,8 @@
 //! `worker` is the TCP-only face of `serve`, meant to stand behind a
 //! distributed run: `run --workers host:port,...` shards each
 //! generation's population over the listed workers (`evaluate_shard`
-//! requests), merges replies in candidate order, relays mapping-cache
-//! deltas between workers, re-issues the shard of any worker that dies
-//! mid-generation, and produces **bit-identical** results (best design +
+//! requests), merges replies in candidate order, re-issues the shard of
+//! any worker that dies mid-generation, and produces **bit-identical** results (best design +
 //! history) to the same run without `--workers`. The shard plan is
 //! recorded in checkpoints, so `resume` re-dials the same fleet by
 //! default (`--workers` overrides; `--workers local` forces
@@ -89,6 +88,11 @@
 //! Because cached results are content-addressed, warming never changes
 //! results — it only skips recomputing `(design, layer-shape)` pairs a
 //! previous run already solved, which is most of a resumed search's work.
+//! Mapping results stay on the worker that computed them, so a
+//! distributed run warm-starts from each `worker --cache-file`; the
+//! coordinator's own file holds only its local-fallback work. The
+//! cache counters a `--workers` run prints and checkpoints are the
+//! fleet's: its workers' latest counters plus the coordinator's own.
 //! `--cache-cap N` bounds the cache to N resident entries (CLOCK
 //! eviction; unbounded by default) — set it on week-long runs and on
 //! long-lived `serve`/`worker` processes so memory holds steady.

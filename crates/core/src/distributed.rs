@@ -7,8 +7,10 @@
 //! its content (content-derived inner seeds, content-addressed mapping
 //! cache). That purity is what makes distribution *trivial to get right*:
 //! a [`DistributedCoordinator`] runs the ordinary sampling/optimizer
-//! logic of [`accel_search_step_with`] (or [`joint_search_step_with`] for
-//! the joint loop) and only relocates the candidate evaluations — each
+//! logic of
+//! [`accel_search_step_with`](crate::accel_search::accel_search_step_with)
+//! (or [`joint_search_step_with`] for the joint loop) and only
+//! relocates the candidate evaluations — each
 //! generation's population is split into contiguous **micro-shards** in
 //! candidate order, fanned out as `evaluate_shard` requests to
 //! `naas-search worker` processes speaking the JSONL protocol of
@@ -74,32 +76,24 @@
 //! first re-dial one generation after death, then with exponential
 //! backoff capped at [`REJOIN_BACKOFF_CAP`] generations. A worker that
 //! answers (and passes the handshake again) is re-admitted into the
-//! shard plan for that generation, and its first shard request carries
-//! a **full cache snapshot** instead of an incremental delta — a
-//! restarted worker lost its memo state, and replaying the backlog
-//! makes it warm again immediately. A worker that fails the handshake
+//! shard plan for that generation. A worker that fails the handshake
 //! on rejoin (it was restarted with a different build) is banned for
 //! the rest of the run. The shard *plan* (the worker address list) is
 //! recorded in checkpoints, so a resumed run re-dials the full fleet.
 //!
-//! ## Cache gossip
+//! ## Caches stay on their workers
 //!
-//! Shard replies piggyback a `cache_delta`: the mapping results the
-//! worker computed since its last report. The coordinator absorbs every
-//! delta into its own engine cache (so local fallback and `--cache-file`
-//! persistence see fleet-wide results) and relays it to the other
-//! workers on their next shard request — a `(design, layer-shape)` pair
-//! solved anywhere is solved everywhere, without workers knowing about
-//! each other. Relaying is sound for the same reason sharing the
-//! in-process cache is: entries are pure functions of their keys.
-//!
-//! For week-long fleets the relay bookkeeping is bounded: the delta log
-//! is compacted at every generation boundary (the prefix every live
-//! worker has already received is dropped), and the deduplication set is
-//! cleared past [`SEEN_CAP`] keys (duplicated gossip is absorbed
-//! idempotently, so clearing costs bytes on the wire, never
-//! correctness). Bound the caches themselves with `--cache-cap`
-//! ([`naas_engine::MemoCache::set_entry_cap`]).
+//! A mapping result lives only in the memo cache of the worker that
+//! computed it. Every cache hit of an accelerator search is a repeated
+//! layer shape *inside* one candidate's networks, and a candidate is
+//! evaluated whole on one worker, so relaying results between workers
+//! would find nothing to reuse. Shard replies carry the worker's cache
+//! counters (`cache_stats`) instead; the coordinator reports the fleet's
+//! cache as the sum of each worker's latest counters plus its own engine
+//! (which only local fallback work touches) —
+//! [`DistributedCoordinator::fleet_cache_stats`]. Warm-start a fleet with
+//! `naas-search worker --cache-file`, and bound long-lived worker caches
+//! with `--cache-cap` ([`naas_engine::MemoCache::set_entry_cap`]).
 //!
 //! # Examples
 //!
@@ -122,13 +116,13 @@ use crate::joint::{
     evaluate_joint_candidate, joint_commit_generation, joint_nas_seed, joint_sample_generation,
     joint_search_step_with, JointCandidateEval, JointSearchState,
 };
-use crate::mapping_search::{design_fingerprint, network_mapping_search_memo, MappingSearchResult};
+use crate::mapping_search::{design_fingerprint, network_mapping_search_memo};
 use crate::pareto::ParetoArchive;
 use naas_accel::{area::AreaModel, Accelerator};
 use naas_cost::{CostModel, NetworkCost, ObjectiveVector};
 use naas_engine::remote::{RemoteError, RemoteWorker};
 use naas_engine::telemetry::{self, Level};
-use naas_engine::{CacheSnapshot, LayerKey, Scenario};
+use naas_engine::{CacheStats, Scenario};
 use naas_ir::Network;
 use naas_nas::{AccuracyModel, NasConfig, Subnet, SubnetSearchDriver};
 use serde::{Deserialize, Serialize, Value};
@@ -138,11 +132,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The delta-log source marker for entries the coordinator computed
-/// itself (local fallback); never matches a worker index, so such
-/// entries are relayed to every worker.
-const SELF_SOURCE: usize = usize::MAX;
-
 /// Upper bound, in generations, on the re-dial backoff of a dead worker:
 /// the first re-dial happens one generation after death, then the gap
 /// doubles per failed attempt until it saturates here. A probe against a
@@ -150,12 +139,6 @@ const SELF_SOURCE: usize = usize::MAX;
 /// drops SYNs silently, at most [`CONNECT_TIMEOUT`] — cheap enough to
 /// keep probing a week-long run indefinitely.
 pub const REJOIN_BACKOFF_CAP: usize = 8;
-
-/// Upper bound on the gossip deduplication set; past it the set is
-/// cleared (workers absorb re-relayed entries idempotently, so the cost
-/// is wire bytes, not correctness). Bounds coordinator memory on runs
-/// whose distinct-key universe never stops growing.
-pub const SEEN_CAP: usize = 1 << 20;
 
 /// The capability string a worker must advertise before joint-search
 /// shards are routed to it.
@@ -322,20 +305,17 @@ impl SchedulerStats {
 /// reward), or `None` for an infeasible design.
 pub type CandidateOutcome = Option<CandidateEval>;
 
-/// The incremental cache image piggybacked on shard replies.
-type Delta = CacheSnapshot<Option<MappingSearchResult>>;
-
 /// The parameter list of one `evaluate_shard` request.
 type ShardParams = Vec<(String, Value)>;
 
-/// Builds the mode-specific request parameters for one candidate range
-/// (the coordinator appends the cache delta itself). `Sync` because the
-/// scheduler's worker threads build their own requests.
+/// Builds the mode-specific request parameters for one candidate range.
+/// `Sync` because the scheduler's worker threads build their own
+/// requests.
 type BuildShard<'a> = dyn Fn(Range<usize>) -> ShardParams + Sync + 'a;
 
-/// Decodes one shard reply into per-candidate results plus the
-/// piggybacked cache delta (`Sync`: decoded on the worker threads).
-type ParseShard<T> = dyn Fn(&Value, usize) -> Result<(Vec<T>, Delta), String> + Sync;
+/// Decodes one shard reply into per-candidate results (`Sync`: decoded
+/// on the worker threads).
+type ParseShard<T> = dyn Fn(&Value, usize) -> Result<Vec<T>, String> + Sync;
 
 /// Evaluates one candidate range on the coordinator's own engine.
 type LocalFallback<'a, T> = dyn FnMut(Range<usize>) -> Vec<T> + 'a;
@@ -383,12 +363,9 @@ struct SpecOutcome<T> {
 struct WorkerSlot {
     remote: RemoteWorker,
     alive: bool,
-    /// Prefix of `delta_log` already shipped to this worker.
-    synced: usize,
-    /// Set on rejoin: the next shard request carries a full cache
-    /// snapshot (the restarted worker lost its memo state) instead of
-    /// an incremental delta.
-    full_resync: bool,
+    /// The worker's cache counters as of its latest shard reply (`None`
+    /// until one arrives, or from a worker too old to report them).
+    cache_stats: Option<CacheStats>,
     /// Failed re-dials since this worker died (drives the backoff).
     rejoin_attempts: u32,
     /// Generation index at which the next re-dial is due.
@@ -413,21 +390,13 @@ impl WorkerSlot {
 /// remote `naas-search worker` processes — [`DistributedCoordinator::step`]
 /// for the accelerator search, [`DistributedCoordinator::step_joint`]
 /// for the joint loop. See the module docs for the protocol, handshake,
-/// rejoin and cache-gossip semantics.
+/// rejoin and cache-reporting semantics.
 pub struct DistributedCoordinator {
     workers: Vec<WorkerSlot>,
     scenario_value: Value,
     /// The generation index of the step in progress (drives rejoin
     /// scheduling and backoff arithmetic).
     generation: usize,
-    /// Every cache key learned so far (worker deltas + local fallback),
-    /// with the worker index it came from. Values are *not* duplicated
-    /// here — they live in the coordinator's engine cache, and relay
-    /// snapshots fetch them by key when a shard request is built.
-    /// Compacted every generation down to the suffix some live worker
-    /// still needs.
-    delta_log: Vec<(usize, u64, LayerKey)>,
-    seen: HashSet<(u64, LayerKey)>,
     /// Busiest worker of the generation in progress (address, busy
     /// micros) — telemetry only, surfaced in the progress event.
     last_slowest: Option<(String, u64)>,
@@ -515,8 +484,7 @@ impl DistributedCoordinator {
             workers.push(WorkerSlot {
                 remote,
                 alive: true,
-                synced: 0,
-                full_resync: false,
+                cache_stats: None,
                 rejoin_attempts: 0,
                 next_retry: 0,
                 banned: false,
@@ -528,8 +496,6 @@ impl DistributedCoordinator {
             workers,
             scenario_value,
             generation: 0,
-            delta_log: Vec::new(),
-            seen: HashSet::new(),
             last_slowest: None,
             microshards: DEFAULT_MICROSHARDS,
             steal_deadline: DEFAULT_STEAL_DEADLINE,
@@ -624,12 +590,28 @@ impl DistributedCoordinator {
         self.workers.iter().filter(|w| w.alive).count()
     }
 
+    /// The fleet's memo-cache counters: `engine` (the coordinator's own
+    /// cache, touched only by local fallback work) plus every worker's
+    /// latest reported counters. Workers keep their caches across jobs,
+    /// so on a shared fleet this is the fleet's lifetime traffic.
+    pub fn fleet_cache_stats(&self, engine: &CoSearchEngine) -> CacheStats {
+        self.workers
+            .iter()
+            .filter_map(|w| w.cache_stats)
+            .fold(engine.cache_stats(), |sum, w| CacheStats {
+                hits: sum.hits + w.hits,
+                misses: sum.misses + w.misses,
+                entries: sum.entries + w.entries,
+            })
+    }
+
     /// Advances the accelerator search by one generation, with candidate
     /// evaluations sharded over the workers — the distributed
     /// counterpart of [`crate::accel_search::accel_search_step`],
     /// producing the bit-identical state trajectory. `engine` is the
-    /// coordinator's own engine: it absorbs the fleet's cache deltas and
-    /// evaluates fallback shards when every worker is dead.
+    /// coordinator's own engine: it evaluates fallback shards when no
+    /// worker can. `state.cache_stats` records
+    /// [`DistributedCoordinator::fleet_cache_stats`].
     pub fn step(
         &mut self,
         engine: &CoSearchEngine,
@@ -805,7 +787,6 @@ impl DistributedCoordinator {
             if self.overlap { Some(&hook) } else { None };
 
         let (evaluated, spec_outcome) = self.evaluate_sharded(
-            engine,
             unknowns.len(),
             None,
             &build,
@@ -851,15 +832,14 @@ impl DistributedCoordinator {
         }
 
         accel_commit_generation(state, sampled, results);
-        state.cache_stats = engine.cache_stats();
-        self.compact_delta_log();
+        state.cache_stats = self.fleet_cache_stats(engine);
         if let Some(archive) = state.archive() {
             self.publish_pareto_telemetry(archive);
         }
         self.finish_generation(
             started,
             state.best().map(|b| b.reward),
-            engine.cache_stats().hit_rate(),
+            state.cache_stats.hit_rate(),
         );
         true
     }
@@ -940,7 +920,6 @@ impl DistributedCoordinator {
                 )
             };
             self.evaluate_sharded(
-                engine,
                 slots.len(),
                 Some(JOINT_CAPABILITY),
                 &build,
@@ -951,14 +930,13 @@ impl DistributedCoordinator {
             .0
         });
         if advanced {
-            self.compact_delta_log();
             if let Some(archive) = state.archive() {
                 self.publish_pareto_telemetry(archive);
             }
             self.finish_generation(
                 started,
                 state.best().map(|b| b.edp),
-                engine.cache_stats().hit_rate(),
+                self.fleet_cache_stats(engine).hit_rate(),
             );
         }
         advanced
@@ -1085,7 +1063,6 @@ impl DistributedCoordinator {
                     )
                 };
                 let (results, _) = self.evaluate_sharded(
-                    engine,
                     units.len(),
                     Some(JOINT_UNIT_CAPABILITY),
                     &build,
@@ -1153,14 +1130,13 @@ impl DistributedCoordinator {
             .collect();
         joint_commit_generation(state, sampled, outcomes);
 
-        self.compact_delta_log();
         if let Some(archive) = state.archive() {
             self.publish_pareto_telemetry(archive);
         }
         self.finish_generation(
             started,
             state.best().map(|b| b.edp),
-            engine.cache_stats().hit_rate(),
+            self.fleet_cache_stats(engine).hit_rate(),
         );
         true
     }
@@ -1304,17 +1280,12 @@ impl DistributedCoordinator {
             Ok(probe) => {
                 slot.remote = probe;
                 slot.alive = true;
-                slot.full_resync = true;
-                slot.synced = self.delta_log.len();
                 slot.rejoin_attempts = 0;
                 telemetry::metrics().coordinator.rejoins.inc();
                 telemetry::events().emit(
                     Level::Info,
                     "worker_rejoined",
-                    &format!(
-                        "worker {addr} rejoined the fleet at generation {generation}; \
-                         warming it with a full cache snapshot"
-                    ),
+                    &format!("worker {addr} rejoined the fleet at generation {generation}"),
                     &[
                         ("worker", Value::Str(addr.clone())),
                         ("generation", Value::U64(generation as u64)),
@@ -1367,10 +1338,8 @@ impl DistributedCoordinator {
     /// on the coordinator's own engine for work no worker could finish.
     /// Results are merged in candidate order — the property that makes
     /// distribution invisible in the trajectory.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_sharded<T: Send + Clone>(
         &mut self,
-        engine: &CoSearchEngine,
         n: usize,
         capability: Option<&str>,
         build: &BuildShard<'_>,
@@ -1394,16 +1363,8 @@ impl DistributedCoordinator {
                 leftovers.push(0..n);
             }
         } else if n > 0 {
-            spec_outcome = self.run_scheduler(
-                engine,
-                n,
-                &live,
-                build,
-                parse,
-                &mut merged,
-                &mut leftovers,
-                spec,
-            );
+            spec_outcome =
+                self.run_scheduler(n, &live, build, parse, &mut merged, &mut leftovers, spec);
         }
 
         // Evaluate locally whatever the fleet could not finish: orderly
@@ -1421,13 +1382,7 @@ impl DistributedCoordinator {
                     ("candidates", Value::U64(range.len() as u64)),
                 ],
             );
-            engine.cache().enable_journal();
             let results = fallback(range.clone());
-            let delta = engine.cache().take_new_entries();
-            self.log_keys(
-                SELF_SOURCE,
-                delta.entries.iter().map(|(fp, key, _)| (*fp, *key)),
-            );
             for (slot, result) in range.zip(results) {
                 merged[slot] = Some(result);
             }
@@ -1442,14 +1397,13 @@ impl DistributedCoordinator {
     /// Runs one generation's micro-shard scheduler over the `live`
     /// workers: plans per-worker queues by throughput, spawns one
     /// pipelining thread per worker against the shared scheduler state,
-    /// then applies the post-mortem — merges, cache deltas, EWMA
+    /// then applies the post-mortem — merges, cache counters, EWMA
     /// updates, deaths/rejections, telemetry — back onto `self`.
     /// Un-finished ranges are appended to `leftovers` for the caller's
     /// local fallback.
     #[allow(clippy::too_many_arguments)]
     fn run_scheduler<T: Send + Clone>(
         &mut self,
-        engine: &CoSearchEngine,
         n: usize,
         live: &[usize],
         build: &BuildShard<'_>,
@@ -1507,25 +1461,7 @@ impl DistributedCoordinator {
             installed: AtomicBool::new(false),
             installed_at: Mutex::new(None),
         });
-        let merge = Mutex::new(MergeState {
-            merged: std::mem::take(merged),
-            deltas: Vec::new(),
-        });
-
-        // Pre-compute each worker's piggybacked cache delta (and a
-        // rollback snapshot of its sync point, for workers that end up
-        // never receiving a single request).
-        let prev_sync: Vec<(usize, bool)> = self
-            .workers
-            .iter()
-            .map(|s| (s.synced, s.full_resync))
-            .collect();
-        let mut setups: Vec<Option<(Option<Value>, bool)>> =
-            (0..worker_count).map(|_| None).collect();
-        for &w in live {
-            let cache = self.take_cache_param(engine, w);
-            setups[w] = Some((cache, self.rates[w].is_some()));
-        }
+        let merge = Mutex::new(std::mem::take(merged));
         let cfg = SchedCfg {
             tick: SCHED_TICK,
             deadline: self.steal_deadline,
@@ -1539,15 +1475,15 @@ impl DistributedCoordinator {
             let spec_shared = spec_shared.as_ref();
             let mut handles = Vec::new();
             for (widx, slot) in self.workers.iter_mut().enumerate() {
-                let Some((cache, rate_known)) = setups[widx].take() else {
+                if !live.contains(&widx) {
                     continue;
-                };
+                }
+                let rate_known = self.rates[widx].is_some();
                 let remote = &mut slot.remote;
                 handles.push(scope.spawn(move || {
                     worker_loop(
                         remote,
                         widx,
-                        cache,
                         rate_known,
                         cfg,
                         sched,
@@ -1564,8 +1500,7 @@ impl DistributedCoordinator {
         });
 
         let mut sched = sched.into_inner().unwrap_or_else(|p| p.into_inner());
-        let merge = merge.into_inner().unwrap_or_else(|p| p.into_inner());
-        *merged = merge.merged;
+        *merged = merge.into_inner().unwrap_or_else(|p| p.into_inner());
         // Split the speculative tail off the merge domain: the caller's
         // primary results stay exactly `n` slots, the tail (with `None`
         // for whatever the fleet never reached) becomes the outcome of
@@ -1583,18 +1518,9 @@ impl DistributedCoordinator {
                 overlap_ms,
             })
         });
-        // Deltas in flight order: deterministic relay-log order no
-        // matter which thread's reply landed first.
-        let mut deltas = merge.deltas;
-        deltas.sort_by_key(|(fid, ..)| *fid);
-        for (_, widx, delta) in deltas {
-            self.record_delta(engine, widx, delta);
-        }
-
-        // Per-worker post-mortem: busy-share gauges, EWMA feed, sync
-        // rollback for workers that never got a request, deaths and
-        // rejections (with the same operator-facing events the blocking
-        // dispatcher emitted).
+        // Per-worker post-mortem: busy-share gauges, EWMA feed, cache
+        // counters, deaths and rejections (with the same operator-facing
+        // events the blocking dispatcher emitted).
         let generation = self.generation;
         let coordinator = &telemetry::metrics().coordinator;
         let mut slowest: Option<(String, u64)> = None;
@@ -1616,10 +1542,8 @@ impl DistributedCoordinator {
                     None => measured,
                 });
             }
-            if !end.sent_any {
-                let (synced, full_resync) = prev_sync[end.widx];
-                self.workers[end.widx].synced = synced;
-                self.workers[end.widx].full_resync = full_resync;
+            if end.cache_stats.is_some() {
+                self.workers[end.widx].cache_stats = end.cache_stats;
             }
             let worker_fields = |error: String| {
                 [
@@ -1713,94 +1637,6 @@ impl DistributedCoordinator {
         let slot = &self.workers[widx];
         slot.alive && capability.is_none_or(|c| slot.remote.has_capability(c))
     }
-
-    /// Builds the `cache` parameter value for `widx`'s first shard
-    /// request of the generation and advances its sync point: an
-    /// incremental delta of every logged entry this worker has not seen
-    /// and did not itself report — or, right after a rejoin, a full
-    /// snapshot of the coordinator's engine cache (the restarted worker
-    /// lost everything; this is the backlog replay that makes it warm
-    /// again). Values are fetched from the engine cache at build time,
-    /// so evicted entries simply drop out of the relay. Returns `None`
-    /// when the worker is already up to date.
-    fn take_cache_param(&mut self, engine: &CoSearchEngine, widx: usize) -> Option<Value> {
-        let full_resync = std::mem::take(&mut self.workers[widx].full_resync);
-        let synced = self.workers[widx].synced;
-        let snapshot = if full_resync {
-            engine.cache().snapshot()
-        } else {
-            let entries: Vec<(u64, LayerKey, Option<MappingSearchResult>)> = self.delta_log
-                [synced..]
-                .iter()
-                .filter(|(source, ..)| *source != widx)
-                .filter_map(|(_, fp, key)| engine.cache().peek(*fp, key).map(|v| (*fp, *key, v)))
-                .collect();
-            CacheSnapshot { entries }
-        };
-        self.workers[widx].synced = self.delta_log.len();
-        if snapshot.entries.is_empty() {
-            return None;
-        }
-        telemetry::metrics()
-            .coordinator
-            .deltas_gossiped
-            .add(snapshot.entries.len() as u64);
-        Some(serde_json::to_value(&snapshot))
-    }
-
-    /// Folds a worker's reply delta into the coordinator: absorb the
-    /// values into the local engine cache and append the keys to the
-    /// relay log.
-    fn record_delta(&mut self, engine: &CoSearchEngine, source: usize, delta: Delta) {
-        if delta.entries.is_empty() {
-            return;
-        }
-        let keys: Vec<(u64, LayerKey)> = delta
-            .entries
-            .iter()
-            .map(|(fp, key, _)| (*fp, *key))
-            .collect();
-        engine.cache().absorb(delta);
-        self.log_keys(source, keys);
-    }
-
-    fn log_keys(&mut self, source: usize, keys: impl IntoIterator<Item = (u64, LayerKey)>) {
-        for (fp, key) in keys {
-            if self.seen.insert((fp, key)) {
-                self.delta_log.push((source, fp, key));
-            }
-        }
-    }
-
-    /// Drops the delta-log prefix every live worker has already
-    /// received (dead workers are resynced with a full snapshot on
-    /// rejoin, so the log owes them nothing), and clears the dedup set
-    /// past [`SEEN_CAP`]. Called at every generation boundary — this is
-    /// what keeps a week-long coordinator's relay bookkeeping flat.
-    fn compact_delta_log(&mut self) {
-        let min_synced = self
-            .workers
-            .iter()
-            .filter(|w| w.alive)
-            .map(|w| w.synced)
-            .min()
-            .unwrap_or(self.delta_log.len());
-        if min_synced > 0 {
-            self.delta_log.drain(..min_synced);
-            for slot in &mut self.workers {
-                slot.synced = slot.synced.saturating_sub(min_synced);
-            }
-        }
-        if self.seen.len() > SEEN_CAP {
-            self.seen.clear();
-        }
-    }
-
-    /// Test-only visibility into the relay bookkeeping.
-    #[cfg(test)]
-    fn delta_log_len(&self) -> usize {
-        self.delta_log.len()
-    }
 }
 
 /// A fleet handle sharable across concurrent jobs: the gateway's view
@@ -1808,8 +1644,8 @@ impl DistributedCoordinator {
 /// coordinator behind a mutex, and every step method takes `&self` —
 /// concurrent jobs serialize on the fleet one generation at a time
 /// (generations are the natural quantum: each is a self-contained
-/// fan-out), while the memo-cache gossip they generate is shared, so
-/// tenants exploring the same design space warm each other's caches.
+/// fan-out). Each worker's memo cache serves every job routed to it, so
+/// only identical submissions reuse each other's mapping results.
 /// Because every candidate evaluation is a pure function of its
 /// content, interleaving generations of different jobs onto one
 /// coordinator leaves each job's trajectory bit-identical to a solo
@@ -2197,9 +2033,9 @@ struct WorkerEnd {
     /// Orderly rejection messages (the worker stays alive; its ranges
     /// went to the local fallback).
     rejections: Vec<String>,
-    /// Whether at least one request was actually written — if not, the
-    /// pre-computed cache sync advance is rolled back.
-    sent_any: bool,
+    /// The worker's cache counters from its most advanced reply (most
+    /// lookups) this generation; `None` if no reply carried them.
+    cache_stats: Option<CacheStats>,
     /// Candidates this worker completed (first-answer wins only).
     completed: u64,
     /// Wall time with at least one request in flight, microseconds —
@@ -2215,14 +2051,6 @@ fn sched_lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Results and reply deltas accumulated across the worker threads.
-struct MergeState<T> {
-    merged: Vec<Option<T>>,
-    /// `(flight id, source worker, delta)` in completion order;
-    /// sorted by flight id before being applied.
-    deltas: Vec<(usize, usize, Delta)>,
-}
-
 /// One worker's scheduler thread: keeps the RPC pipeline full from the
 /// shared queues (own → pool → steal → speculate), merges winning
 /// replies, drops duplicate late replies by shard id, and reports how
@@ -2232,11 +2060,10 @@ struct MergeState<T> {
 fn worker_loop<T: Send + Clone>(
     remote: &mut RemoteWorker,
     widx: usize,
-    mut cache_param: Option<Value>,
     rate_known: bool,
     cfg: SchedCfg,
     sched: &Mutex<Sched>,
-    merge: &Mutex<MergeState<T>>,
+    merge: &Mutex<Vec<Option<T>>>,
     build: &BuildShard<'_>,
     parse: &ParseShard<T>,
     spec: Option<&SpecShared<'_, T>>,
@@ -2245,7 +2072,7 @@ fn worker_loop<T: Send + Clone>(
         widx,
         death: None,
         rejections: Vec::new(),
-        sent_any: false,
+        cache_stats: None,
         completed: 0,
         busy_us: 0,
     };
@@ -2288,6 +2115,17 @@ fn worker_loop<T: Send + Clone>(
                         .expect("every pipelined id maps to a flight");
                     match inner {
                         Ok(reply) => {
+                            // Counters ride on every reply, duplicates
+                            // included: keep the most advanced.
+                            if let Some(stats) = reply_cache_stats(&reply) {
+                                let lookups = |s: &CacheStats| s.hits + s.misses;
+                                if end
+                                    .cache_stats
+                                    .is_none_or(|old| lookups(&stats) >= lookups(&old))
+                                {
+                                    end.cache_stats = Some(stats);
+                                }
+                            }
                             // First answer wins: claim the flight, or
                             // drop a stale losing copy.
                             let claim = {
@@ -2303,13 +2141,12 @@ fn worker_loop<T: Send + Clone>(
                             };
                             if let Some(range) = claim {
                                 match parse(&reply, range.len()) {
-                                    Ok((results, delta)) => {
+                                    Ok(results) => {
                                         end.completed += range.len() as u64;
                                         let mut m = sched_lock(merge);
                                         for (slot, result) in range.clone().zip(results) {
-                                            m.merged[slot] = Some(result);
+                                            m[slot] = Some(result);
                                         }
-                                        m.deltas.push((fid, widx, delta));
                                     }
                                     Err(message) => {
                                         // Un-claim so the range re-routes.
@@ -2373,7 +2210,7 @@ fn worker_loop<T: Send + Clone>(
                 }
             }
             let Some((fid, range)) = work else { break };
-            let mut params = if range.start >= n_primary {
+            let params = if range.start >= n_primary {
                 let job = spec
                     .and_then(|s| s.job.get())
                     .expect("a speculative range implies an installed job");
@@ -2381,12 +2218,8 @@ fn worker_loop<T: Send + Clone>(
             } else {
                 build(range)
             };
-            if let Some(cache) = cache_param.take() {
-                params.push(("cache".to_string(), cache));
-            }
             match remote.send("evaluate_shard", params) {
                 Ok(id) => {
-                    end.sent_any = true;
                     progressed = true;
                     if busy_start.is_none() {
                         busy_start = Some(Instant::now());
@@ -2460,7 +2293,7 @@ fn worker_loop<T: Send + Clone>(
 /// against a fuller merge.
 fn try_install_spec<T: Send + Clone>(
     sched: &Mutex<Sched>,
-    merge: &Mutex<MergeState<T>>,
+    merge: &Mutex<Vec<Option<T>>>,
     spec: Option<&SpecShared<'_, T>>,
     n_primary: usize,
 ) -> bool {
@@ -2475,7 +2308,7 @@ fn try_install_spec<T: Send + Clone>(
     if sched_lock(sched).done() {
         return false;
     }
-    let snapshot: Vec<Option<T>> = sched_lock(merge).merged[..n_primary].to_vec();
+    let snapshot: Vec<Option<T>> = sched_lock(merge)[..n_primary].to_vec();
     let Some(job) = (shared.hook)(&snapshot) else {
         // The hook declined (e.g. the merge is not resolved enough to
         // fork from yet): nothing was sampled, so release the claim and
@@ -2493,7 +2326,7 @@ fn try_install_spec<T: Send + Clone>(
     // Order matters: extend the merge domain, then publish the ranges,
     // then flip `installed` — a spec range can only be issued after its
     // merge slot and its builder exist.
-    sched_lock(merge).merged.extend((0..count).map(|_| None));
+    sched_lock(merge).extend((0..count).map(|_| None));
     *sched_lock(&shared.installed_at) = Some(Instant::now());
     {
         // Single-unit spec shards, deliberately finer than the primary
@@ -2514,9 +2347,10 @@ fn try_install_spec<T: Send + Clone>(
 /// Plans one generation's per-worker micro-shard queues: `n` candidates
 /// split among `rates.len()` workers proportionally to throughput
 /// (1/rate; unknown rates get the mean known weight) by largest-
-/// remainder allocation, each worker's contiguous block then split into
-/// at most `per_worker` micro-shards. Blocks are contiguous in
-/// candidate order, so any completion order merges bit-identically.
+/// remainder allocation, with at least one candidate per worker when
+/// there are enough to go round. Each worker's contiguous block is then
+/// split into at most `per_worker` micro-shards. Blocks are contiguous
+/// in candidate order, so any completion order merges bit-identically.
 fn microshard_plan(n: usize, rates: &[Option<f64>], per_worker: usize) -> Vec<Vec<Range<usize>>> {
     let k = rates.len();
     if k == 0 {
@@ -2562,6 +2396,22 @@ fn microshard_plan(n: usize, rates: &[Option<f64>], per_worker: usize) -> Vec<Ve
         alloc[i] += 1;
         assigned += 1;
     }
+    // A worker's rate is re-measured only on work it completes, so a
+    // worker planned out of a generation (say, after one slow cold-start
+    // shard) would keep its stale rate and never be planned in again.
+    // With a candidate to spare for everyone, each worker gets at least
+    // one, taken from the largest block (lowest index on ties).
+    if n >= k {
+        for i in 0..k {
+            if alloc[i] == 0 {
+                let donor = (0..k)
+                    .max_by_key(|&j| (alloc[j], std::cmp::Reverse(j)))
+                    .expect("at least one worker");
+                alloc[donor] -= 1;
+                alloc[i] += 1;
+            }
+        }
+    }
 
     let mut out = Vec::with_capacity(k);
     let mut start = 0usize;
@@ -2604,9 +2454,10 @@ fn shard_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Decodes the framing shared by both shard-reply shapes: the `results`
-/// array (cardinality-checked) and the piggybacked `cache_delta`.
-fn parse_reply_frame(reply: &Value, expected: usize) -> Result<(&[Value], Delta), String> {
+/// Decodes the framing shared by every shard-reply shape: the `results`
+/// array, cardinality-checked. Other fields are ignored, so a `cache_delta`
+/// from a worker that still gossips parses unchanged.
+fn parse_reply_frame(reply: &Value, expected: usize) -> Result<&[Value], String> {
     let results = reply
         .get("results")
         .and_then(Value::as_array)
@@ -2617,15 +2468,14 @@ fn parse_reply_frame(reply: &Value, expected: usize) -> Result<(&[Value], Delta)
             results.len()
         ));
     }
-    let delta = match reply.get("cache_delta") {
-        None | Some(Value::Null) => CacheSnapshot {
-            entries: Vec::new(),
-        },
-        Some(value) => {
-            serde_json::from_value(value).map_err(|e| format!("invalid `cache_delta`: {e}"))?
-        }
-    };
-    Ok((results, delta))
+    Ok(results)
+}
+
+/// The worker's cache counters piggybacked on a shard reply. Optional
+/// and informational — they feed reports, never results — so an absent
+/// or malformed field is simply `None`.
+fn reply_cache_stats(reply: &Value) -> Option<CacheStats> {
+    serde_json::from_value(reply.get("cache_stats")?).ok()
 }
 
 /// Validates wire-sourced evaluation values at the deserialization seam
@@ -2645,12 +2495,9 @@ fn validate_wire_eval(reward: f64, objectives: &ObjectiveVector) -> Result<(), S
 
 /// Decodes one accelerator-search `evaluate_shard` reply (protocol v3:
 /// each result carries `reward`, `per_network` **and** `objectives`)
-/// into per-candidate outcomes and the piggybacked cache delta.
-fn parse_shard_reply(
-    reply: &Value,
-    expected: usize,
-) -> Result<(Vec<CandidateOutcome>, Delta), String> {
-    let (results, delta) = parse_reply_frame(reply, expected)?;
+/// into per-candidate outcomes.
+fn parse_shard_reply(reply: &Value, expected: usize) -> Result<Vec<CandidateOutcome>, String> {
+    let results = parse_reply_frame(reply, expected)?;
     let mut outcomes = Vec::with_capacity(expected);
     for entry in results {
         outcomes.push(match entry {
@@ -2681,18 +2528,17 @@ fn parse_shard_reply(
             }
         });
     }
-    Ok((outcomes, delta))
+    Ok(outcomes)
 }
 
 /// Decodes one joint-mode `evaluate_shard` reply: per-candidate
-/// [`JointCandidateEval`]s (`null` = no feasible subnet) and the cache
-/// delta. Wire values pass the same trust-boundary validation as
-/// accelerator-mode replies.
+/// [`JointCandidateEval`]s (`null` = no feasible subnet). Wire values
+/// pass the same trust-boundary validation as accelerator-mode replies.
 fn parse_joint_shard_reply(
     reply: &Value,
     expected: usize,
-) -> Result<(Vec<Option<JointCandidateEval>>, Delta), String> {
-    let (results, delta) = parse_reply_frame(reply, expected)?;
+) -> Result<Vec<Option<JointCandidateEval>>, String> {
+    let results = parse_reply_frame(reply, expected)?;
     let mut outcomes = Vec::with_capacity(expected);
     for entry in results {
         outcomes.push(match entry {
@@ -2705,19 +2551,19 @@ fn parse_joint_shard_reply(
             }
         });
     }
-    Ok((outcomes, delta))
+    Ok(outcomes)
 }
 
 /// Decodes one `joint_unit`-mode `evaluate_shard` reply: the raw
 /// per-unit [`NetworkCost`] (`null` = no feasible mapping for that
-/// subnet on that design) and the cache delta. The derived EDP passes
-/// the same finite-positive check as scalar wire rewards — a poisoned
-/// cost must fail the shard, never reach the NAS fold.
+/// subnet on that design). The derived EDP passes the same
+/// finite-positive check as scalar wire rewards — a poisoned cost must
+/// fail the shard, never reach the NAS fold.
 fn parse_joint_unit_reply(
     reply: &Value,
     expected: usize,
-) -> Result<(Vec<Option<NetworkCost>>, Delta), String> {
-    let (results, delta) = parse_reply_frame(reply, expected)?;
+) -> Result<Vec<Option<NetworkCost>>, String> {
+    let results = parse_reply_frame(reply, expected)?;
     let mut outcomes = Vec::with_capacity(expected);
     for entry in results {
         outcomes.push(match entry {
@@ -2733,7 +2579,7 @@ fn parse_joint_unit_reply(
             }
         });
     }
-    Ok((outcomes, delta))
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -2769,7 +2615,7 @@ mod tests {
             r#"{{"results": [null, {{"reward": 2.5, "per_network": [{{"layers": []}}], "objectives": {GOOD_OBJECTIVES}}}]}}"#,
         ))
         .unwrap();
-        let (outcomes, delta) = parse_shard_reply(&good, 2).unwrap();
+        let outcomes = parse_shard_reply(&good, 2).unwrap();
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes[0].is_none());
         assert_eq!(outcomes[1].as_ref().unwrap().reward, 2.5);
@@ -2777,7 +2623,6 @@ mod tests {
             outcomes[1].as_ref().unwrap().objectives.latency_cycles,
             1000
         );
-        assert!(delta.entries.is_empty());
 
         // Wrong cardinality: a truncated reply must not silently merge.
         assert!(parse_shard_reply(&good, 3)
@@ -2834,78 +2679,6 @@ mod tests {
         objectives.energy_nj = 5.0;
         assert!(validate_wire_eval(f64::NAN, &objectives).is_err());
         assert!(validate_wire_eval(2.5, &objectives).is_ok());
-    }
-
-    fn synthetic_coordinator(worker_count: usize) -> DistributedCoordinator {
-        // Handles are lazy — nothing is dialed, so the relay/compaction
-        // bookkeeping can be exercised without a live fleet.
-        let workers = (0..worker_count)
-            .map(|i| WorkerSlot {
-                remote: RemoteWorker::new(format!("127.0.0.1:{}", 1 + i)),
-                alive: true,
-                synced: 0,
-                full_resync: false,
-                rejoin_attempts: 0,
-                next_retry: 0,
-                banned: false,
-            })
-            .collect();
-        let (probe_tx, probe_rx) = mpsc::channel();
-        DistributedCoordinator {
-            workers,
-            scenario_value: Value::Null,
-            generation: 0,
-            delta_log: Vec::new(),
-            seen: HashSet::new(),
-            last_slowest: None,
-            microshards: DEFAULT_MICROSHARDS,
-            steal_deadline: DEFAULT_STEAL_DEADLINE,
-            rates: vec![None; worker_count],
-            stats_last: SchedulerStats::default(),
-            stats_total: SchedulerStats::default(),
-            probe_tx,
-            probe_rx,
-            probing: vec![false; worker_count],
-            pareto_published: (0, 0),
-            overlap: false,
-            accel_spec: HashMap::new(),
-            spec_capacity: DEFAULT_SPEC_CAPACITY,
-            overlap_stats: OverlapStats::default(),
-        }
-    }
-
-    fn some_key(i: u64) -> LayerKey {
-        LayerKey::of(
-            &naas_ir::ConvSpec::conv2d("k", 8 + i, 8, (8, 8), (3, 3), 1, 1)
-                .expect("valid conv spec"),
-        )
-    }
-
-    #[test]
-    fn delta_log_compacts_to_the_slowest_live_worker() {
-        let mut c = synthetic_coordinator(2);
-        c.log_keys(0, (0..10).map(|i| (i, some_key(i))));
-        assert_eq!(c.delta_log_len(), 10);
-
-        // Worker 0 has received the first 6 entries, worker 1 the first
-        // 4: only the prefix both have seen can go.
-        c.workers[0].synced = 6;
-        c.workers[1].synced = 4;
-        c.compact_delta_log();
-        assert_eq!(c.delta_log_len(), 6);
-        assert_eq!((c.workers[0].synced, c.workers[1].synced), (2, 0));
-
-        // A dead worker owes the log nothing (it is resynced with a
-        // full snapshot on rejoin): compaction follows the live ones.
-        c.workers[1].alive = false;
-        c.workers[0].synced = 6;
-        c.compact_delta_log();
-        assert_eq!(c.delta_log_len(), 0);
-
-        // Re-logging a seen key is deduplicated, so the log only grows
-        // by genuinely new work.
-        c.log_keys(1, [(3, some_key(3)), (99, some_key(99))]);
-        assert_eq!(c.delta_log_len(), 1);
     }
 
     /// Flattens a plan and checks it tiles `0..n` exactly, in order.
@@ -2969,6 +2742,23 @@ mod tests {
     }
 
     #[test]
+    fn microshard_plan_never_plans_a_worker_out() {
+        // A worker measured 20× slower (a cold first shard) would round
+        // to zero candidates and never be re-measured; it keeps one.
+        let plan = microshard_plan(6, &[Some(1.0), Some(20.0)], 6);
+        assert_plan_covers(&plan, 6);
+        let sizes: Vec<usize> = plan
+            .iter()
+            .map(|b| b.iter().map(Range::len).sum())
+            .collect();
+        assert_eq!(sizes, vec![5, 1]);
+        // Fewer candidates than workers: nothing to spare.
+        let plan = microshard_plan(1, &[Some(1.0), Some(20.0)], 6);
+        assert_plan_covers(&plan, 1);
+        assert!(plan[1].is_empty());
+    }
+
+    #[test]
     fn split_range_offsets_preserve_the_parent_range() {
         let parts = split_range(10..25, 4);
         assert_eq!(parts.first().unwrap().start, 10);
@@ -3004,7 +2794,7 @@ mod tests {
         let good: Value =
             serde_json::parse_str(r#"{"results": [null], "cache_delta": {"entries": []}}"#)
                 .unwrap();
-        let (outcomes, _) = parse_joint_shard_reply(&good, 1).unwrap();
+        let outcomes = parse_joint_shard_reply(&good, 1).unwrap();
         assert_eq!(outcomes, vec![None]);
         let bad: Value = serde_json::parse_str(r#"{"results": [{"nonsense": 1}]}"#).unwrap();
         assert!(parse_joint_shard_reply(&bad, 1)

@@ -24,11 +24,10 @@
 //! | `metrics`        | a full process telemetry snapshot ([`naas_engine::telemetry`]) |
 //! | `shutdown`       | acknowledges, then the server drains and persists   |
 //!
-//! `evaluate_shard` and `search_step` carry optional `cache` payloads in
-//! and `cache_delta` payloads out: incremental [`MemoCache`] snapshots
-//! that let a coordinator relay mapping results between workers, so a
-//! `(design, layer-shape)` pair solved anywhere in the fleet is solved
-//! everywhere. The full wire spec is `docs/PROTOCOL.md`.
+//! Mapping results stay in the cache of the worker that computed them;
+//! an `evaluate_shard` reply reports that cache's counters
+//! (`cache_stats`) so a coordinator can sum its fleet's cache traffic.
+//! The full wire spec is `docs/PROTOCOL.md`.
 //!
 //! Concurrent in-flight requests are coalesced by the engine's
 //! [`Batcher`] and fanned out over the pool in one `parallel_map` call
@@ -47,7 +46,7 @@
 
 use crate::accel_search::{self, AccelSearchState};
 use crate::engine::CoSearchEngine;
-use crate::mapping_search::{self, MappingSearchConfig, MappingSearchResult};
+use crate::mapping_search::{self, MappingSearchConfig};
 use crate::reward::RewardKind;
 use naas_accel::Accelerator;
 use naas_cost::{CostModel, LayerCost};
@@ -130,7 +129,6 @@ pub const CAPABILITIES: &[&str] = &[
     "search_step",
     "joint",
     "joint_unit",
-    "cache_gossip",
     "metrics",
     "objectives",
 ];
@@ -695,24 +693,6 @@ impl BatchEvalService {
         ]))
     }
 
-    /// Absorbs an optional `cache` parameter (an incremental
-    /// [`naas_engine::CacheSnapshot`]) into the shared cache. Absorbing
-    /// is always sound — entries are content-addressed and live entries
-    /// win — so a coordinator can forward deltas from any worker to any
-    /// other.
-    fn absorb_cache_param(&self, request: &Request) -> Result<usize, ServiceError> {
-        match request.param("cache") {
-            None => Ok(0),
-            Some(value) => {
-                let snapshot: naas_engine::CacheSnapshot<Option<MappingSearchResult>> =
-                    serde_json::from_value(value).map_err(|e| {
-                        ServiceError::BadRequest(format!("invalid cache snapshot: {e}"))
-                    })?;
-                Ok(self.engine.cache().absorb(snapshot))
-            }
-        }
-    }
-
     /// `evaluate_shard`: one shard of an outer-search generation — a
     /// list of candidate designs evaluated on this worker's pool. This
     /// is the distributed coordinator's fan-out primitive
@@ -730,9 +710,9 @@ impl BatchEvalService {
     /// Either way, shard results merged in candidate order reproduce
     /// the single-process search bit-for-bit. Infeasible candidates
     /// answer `null` (a result, not a request failure). The reply
-    /// piggybacks a `cache_delta` of every mapping result this worker
-    /// computed since its last report, for the coordinator to relay to
-    /// its siblings.
+    /// piggybacks this worker's cumulative `cache_stats`, so the
+    /// coordinator can report the fleet's cache as the sum of its
+    /// workers'.
     fn evaluate_shard(&self, request: &Request) -> Result<Value, ServiceError> {
         let candidates_value = request.param("candidates").ok_or_else(|| {
             ServiceError::BadRequest("`candidates` (array of design objects) is required".into())
@@ -744,9 +724,6 @@ impl BatchEvalService {
                 .map_err(|e| ServiceError::BadRequest(format!("invalid mapping config: {e}")))?,
             None => self.mapping_config(request)?,
         };
-        self.absorb_cache_param(request)?;
-        self.engine.cache().enable_journal();
-
         if self.config.eval_delay_us > 0 {
             let _slow = self
                 .delay_gate
@@ -768,8 +745,8 @@ impl BatchEvalService {
             ("count".to_string(), Value::U64(entries.len() as u64)),
             ("results".to_string(), Value::Array(entries)),
             (
-                "cache_delta".to_string(),
-                serde_json::to_value(&self.engine.cache().take_new_entries()),
+                "cache_stats".to_string(),
+                serde_json::to_value(&self.engine.cache_stats()),
             ),
         ]))
     }
@@ -969,11 +946,9 @@ impl BatchEvalService {
                     ServiceError::BadRequest(format!("invalid accuracy model: {e}"))
                 })?,
             };
-            self.absorb_cache_param(request)?;
-            self.engine.cache().enable_journal();
             let advanced =
                 crate::joint::joint_search_step(&self.engine, &self.model, &accuracy, &mut state);
-            return Ok(self.search_step_reply(advanced, state.is_done(), &state));
+            return Ok(Self::search_step_reply(advanced, state.is_done(), &state));
         }
         let job = self.resolve_scenario(request)?;
         if job.networks.is_empty() {
@@ -983,23 +958,17 @@ impl BatchEvalService {
         }
         let mut state: AccelSearchState = serde_json::from_value(state_value)
             .map_err(|e| ServiceError::BadRequest(format!("invalid search state: {e}")))?;
-        self.absorb_cache_param(request)?;
-        self.engine.cache().enable_journal();
         let advanced =
             accel_search::accel_search_step(&self.engine, &self.model, &job.networks, &mut state);
-        Ok(self.search_step_reply(advanced, state.is_done(), &state))
+        Ok(Self::search_step_reply(advanced, state.is_done(), &state))
     }
 
     /// The common `search_step` reply shape for both state kinds.
-    fn search_step_reply<S: Serialize>(&self, advanced: bool, done: bool, state: &S) -> Value {
+    fn search_step_reply<S: Serialize>(advanced: bool, done: bool, state: &S) -> Value {
         Value::Object(vec![
             ("advanced".to_string(), Value::Bool(advanced)),
             ("done".to_string(), Value::Bool(done)),
             ("state".to_string(), serde_json::to_value(state)),
-            (
-                "cache_delta".to_string(),
-                serde_json::to_value(&self.engine.cache().take_new_entries()),
-            ),
         ])
     }
 }

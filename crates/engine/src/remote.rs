@@ -672,7 +672,7 @@ mod tests {
     fn handshake_negotiates_version_and_capabilities() {
         let addr = scripted_server(vec![
             Some(format!(
-                r#"{{"id":0,"ok":true,"result":{{"protocol":{PROTOCOL_VERSION},"capabilities":["joint","cache_gossip"]}}}}"#
+                r#"{{"id":0,"ok":true,"result":{{"protocol":{PROTOCOL_VERSION},"capabilities":["joint","metrics"]}}}}"#
             )),
             Some(r#"{"id":1,"ok":true,"result":null}"#.into()),
         ]);
@@ -683,7 +683,7 @@ mod tests {
         // the call itself (id 1).
         worker.call("ping", vec![]).unwrap();
         assert!(worker.has_capability("joint"));
-        assert!(worker.has_capability("cache_gossip"));
+        assert!(worker.has_capability("metrics"));
         assert!(!worker.has_capability("time_travel"));
     }
 

@@ -406,7 +406,8 @@ pub struct CoordinatorSnapshot {
     pub rejoins: u64,
     /// Workers dropped from the live plan (death or version ban).
     pub deaths: u64,
-    /// Cache delta entries gossiped out to workers.
+    /// Retired with fleet cache gossip: always 0. Kept so existing
+    /// snapshot readers still find the field.
     pub deltas_gossiped: u64,
     /// Micro-shard requests issued by the dynamic scheduler.
     pub microshards: u64,
@@ -549,7 +550,8 @@ pub struct CoordinatorMetrics {
     pub rejoins: Counter,
     /// Workers dropped from the live plan.
     pub deaths: Counter,
-    /// Cache delta entries gossiped to workers.
+    /// Retired with fleet cache gossip: nothing increments it, so it
+    /// stays 0. Kept so existing snapshot readers still find the field.
     pub deltas_gossiped: Counter,
     /// Micro-shard requests issued by the dynamic scheduler.
     pub microshards: Counter,

@@ -184,7 +184,7 @@ fn run_distributed(
 
 /// Best design, history and evaluation counts must agree exactly —
 /// sharding only relocates pure-function evaluations. (`cache_stats` is
-/// intentionally excluded: a coordinator never runs local lookups.)
+/// excluded: speculation and re-issues run some lookups twice.)
 fn assert_bit_identical(
     distributed: &naas::AccelSearchResult,
     local: &naas::AccelSearchResult,
@@ -344,42 +344,46 @@ fn remote_search_step_reproduces_local_trajectory() {
     assert_eq!(remote.evaluations, local.evaluations);
 }
 
-/// Cache gossip: after a sharded run, the coordinator's engine holds the
-/// fleet's mapping results (absorbed deltas), so a follow-up local run
-/// of the same scenario is answered entirely from cache.
+/// Caches stay on their workers: every hit of an accelerator search is a
+/// repeated layer shape inside one candidate, and a candidate is
+/// evaluated whole on one worker. So the fleet-summed cache counters a
+/// distributed search records equal the single-process search's hits,
+/// misses and entries exactly — no reuse is lost by never relaying
+/// mapping results between workers.
 #[test]
-fn coordinator_absorbs_fleet_cache_deltas() {
+fn fleet_cache_stats_match_the_single_process_search() {
     let (scenario, networks) = scenario_fixture();
     let cfg = search_cfg(59);
+    let job = scenario.resolve().unwrap();
+    let model = CostModel::new();
+
+    let local_engine = CoSearchEngine::new(cfg.threads);
+    let mut local = accel_search_init(&job.constraint, &cfg, &[]);
+    while naas::accel_search_step(&local_engine, &model, &networks, &mut local) {}
 
     let addrs = vec![spawn_worker(1).to_string(), spawn_worker(1).to_string()];
     let mut coordinator =
         DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
-
-    let job = scenario.resolve().unwrap();
+    // No shard may run twice: a duplicate evaluation counts its lookups
+    // again on the second worker.
+    coordinator.set_steal_deadline(std::time::Duration::from_secs(600));
     let engine = CoSearchEngine::new(1);
-    let model = CostModel::new();
-    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
-    while coordinator.step(&engine, &model, &networks, &mut state) {}
-    let distributed = state.into_result().expect("search finds a design");
-    assert!(
-        engine.cache_stats().entries > 0,
-        "worker deltas must land in the coordinator cache"
-    );
+    let mut fleet = accel_search_init(&job.constraint, &cfg, &[]);
+    while coordinator.step(&engine, &model, &networks, &mut fleet) {}
 
-    // Re-run the same search locally on the coordinator's engine: every
-    // mapping search was already solved somewhere in the fleet.
-    let misses_before = engine.cache_stats().misses;
-    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
-    while naas::accel_search_step(&engine, &model, &networks, &mut state) {}
-    let replay = state.into_result().expect("search finds a design");
-    assert_eq!(replay.best.accelerator, distributed.best.accelerator);
-    assert_eq!(replay.history, distributed.history);
+    let sched = coordinator.scheduler_stats();
+    assert_eq!((sched.reissues, sched.speculations), (0, 0), "{sched:?}");
     assert_eq!(
-        engine.cache_stats().misses,
-        misses_before,
-        "replay must be answered entirely from absorbed fleet results"
+        engine.cache_stats(),
+        naas_engine::CacheStats::default(),
+        "the coordinator evaluated nothing itself"
     );
+    assert!(
+        local.cache_stats.hits > 0,
+        "the fixture must exercise reuse"
+    );
+    assert_eq!(fleet.cache_stats, local.cache_stats);
+    assert_eq!(fleet.cache_stats, coordinator.fleet_cache_stats(&engine));
 }
 
 /// A worker that answers `fail_after` requests, then "crashes" (drops
@@ -957,6 +961,99 @@ fn v2_worker_is_rejected_as_incompatible() {
     assert!(
         !worker.is_connected(),
         "mismatch must not leave a connection"
+    );
+}
+
+/// A protocol-4 worker built before cache gossip was removed: a real
+/// serving stack whose `evaluate_shard` replies still carry a
+/// `cache_delta` (here, its whole cache) and no `cache_stats` — the
+/// stand-in for a fleet that upgrades its coordinator before its
+/// workers.
+fn spawn_legacy_gossip_worker() -> SocketAddr {
+    let service = BatchEvalService::new(ServiceConfig {
+        threads: 1,
+        mapping: MappingSearchConfig::quick(7),
+        cache_file: None,
+        cache_cap: 0,
+        eval_delay_us: 0,
+    })
+    .expect("no cache file to load");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let mut reader = BufReader::new(match stream.try_clone() {
+                Ok(clone) => clone,
+                Err(_) => break,
+            });
+            let mut writer = stream;
+            loop {
+                let mut line = String::new();
+                match reader.read_line(&mut line) {
+                    Ok(0) | Err(_) => break,
+                    Ok(_) => {}
+                }
+                let mut response: Value =
+                    serde_json::from_str(&service.respond(line.trim_end())).unwrap();
+                if let Value::Object(fields) = &mut response {
+                    for (key, value) in fields.iter_mut() {
+                        let Value::Object(result) = value else {
+                            continue;
+                        };
+                        if key != "result" || !result.iter().any(|(k, _)| k == "results") {
+                            continue;
+                        }
+                        result.retain(|(k, _)| k != "cache_stats");
+                        let delta = serde_json::to_value(&service.engine().cache().snapshot());
+                        result.push(("cache_delta".to_string(), delta));
+                    }
+                }
+                let response = serde_json::to_string(&response).unwrap();
+                if writeln!(writer, "{response}")
+                    .and_then(|_| writer.flush())
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+/// Removing gossip was an additive change within protocol 4: a reply
+/// that still carries `cache_delta` parses (the field is ignored), so a
+/// legacy worker stays a healthy fleet member and the search stays
+/// bit-identical. It reports no cache counters, so the fleet total
+/// holds only the up-to-date worker's.
+#[test]
+fn legacy_worker_reply_with_cache_delta_still_parses() {
+    let (scenario, networks) = scenario_fixture();
+    let cfg = search_cfg(97);
+    let local = run_local(&cfg, &networks);
+
+    let addrs = vec![
+        spawn_legacy_gossip_worker().to_string(),
+        spawn_worker(1).to_string(),
+    ];
+    let mut coordinator =
+        DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
+    let distributed = run_distributed(&cfg, &networks, &mut coordinator);
+
+    assert_bit_identical(&distributed, &local, "legacy gossiping worker");
+    assert_eq!(
+        coordinator.live_workers(),
+        2,
+        "a `cache_delta` field must not be a protocol violation"
+    );
+    assert_eq!(coordinator.scheduler_stats().reissues, 0);
+    let fleet = distributed.cache_stats;
+    assert!(fleet.hits + fleet.misses > 0, "the new worker reports");
+    assert!(
+        fleet.hits + fleet.misses < local.cache_stats.hits + local.cache_stats.misses,
+        "the legacy worker's lookups are not reported: {fleet:?} vs {:?}",
+        local.cache_stats
     );
 }
 

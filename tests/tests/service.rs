@@ -410,6 +410,39 @@ fn unmappable_design_is_an_error_response() {
         .contains("cannot map"));
 }
 
+/// Wire compatibility after cache gossip's removal (still protocol 4):
+/// an `evaluate_shard` from an older coordinator may carry a `cache`
+/// snapshot. Unknown parameters are ignored, so the worker answers
+/// exactly what the same request without it gets — the snapshot is not
+/// absorbed, and the reply reports the worker's own `cache_stats` and
+/// carries no `cache_delta`.
+#[test]
+fn legacy_evaluate_shard_with_cache_snapshot_still_answers_correctly() {
+    let candidates =
+        serde_json::to_string(&vec![baselines::eyeriss(), baselines::edge_tpu()]).unwrap();
+    let request = |extra: &str| {
+        format!(
+            r#"{{"id":1,"cmd":"evaluate_shard","scenario":"cifar-eyeriss","candidates":{candidates}{extra}}}"#
+        )
+    };
+    let donor = service(1);
+    let expected = result_of(&donor.respond(&request("")));
+    let snapshot = serde_json::to_string(&donor.engine().cache().snapshot()).unwrap();
+
+    let s = service(1);
+    let legacy = result_of(&s.respond(&request(&format!(r#","cache":{snapshot}"#))));
+    assert_eq!(legacy.get("results"), expected.get("results"));
+    assert!(legacy.get("cache_delta").is_none());
+    let stats: naas_engine::CacheStats =
+        serde_json::from_value(legacy.get("cache_stats").expect("counters reported")).unwrap();
+    assert_eq!(
+        stats,
+        donor.engine().cache_stats(),
+        "computed, not absorbed"
+    );
+    assert!(stats.misses > 0);
+}
+
 /// The `metrics` command round-trips a full telemetry snapshot: the
 /// served JSON deserializes back into [`naas_engine::MetricsSnapshot`]
 /// through the shim, and every top-level section is present. Counter
