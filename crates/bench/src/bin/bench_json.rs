@@ -213,16 +213,9 @@ fn spawn_worker(eval_delay_us: u64) -> String {
 }
 
 /// Runs one sharded `cifar-eyeriss` search over a fresh fleet with the
-/// given per-worker delays and scheduler setting, returning each
-/// generation's wall-clock (ms, in order) plus the scheduler and
-/// overlap counters. `microshards == 0` selects the static
-/// one-shard-per-worker baseline; `overlap` turns the speculative
-/// ask/rollback reactor on.
-fn straggler_run(
-    delays: &[u64],
-    microshards: usize,
-    overlap: bool,
-) -> (Vec<f64>, naas::SchedulerStats, naas::OverlapStats) {
+/// given per-worker delays, returning each generation's wall-clock (ms,
+/// in order) plus the scheduler counters.
+fn straggler_run(delays: &[u64]) -> (Vec<f64>, naas::SchedulerStats) {
     let scenario = naas_engine::scenario::find("cifar-eyeriss").expect("registered scenario");
     let job = scenario.resolve().expect("scenario resolves");
     let mut cfg = naas::AccelSearchConfig::quick(17);
@@ -234,8 +227,6 @@ fn straggler_run(
     let addrs: Vec<String> = delays.iter().map(|&d| spawn_worker(d)).collect();
     let mut coordinator =
         naas::DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
-    coordinator.set_microshards(microshards);
-    coordinator.set_overlap(overlap);
 
     let engine = naas::CoSearchEngine::new(1);
     let model = naas_cost::CostModel::new();
@@ -248,11 +239,7 @@ fn straggler_run(
         }
         gens.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    (
-        gens,
-        coordinator.scheduler_stats(),
-        coordinator.overlap_stats(),
-    )
+    (gens, coordinator.scheduler_stats())
 }
 
 /// Median of the warm generations (generation 0 is excluded: it pays
@@ -264,31 +251,21 @@ fn warm_median_ms(gens: &[f64]) -> f64 {
     warm[warm.len() / 2]
 }
 
-/// The straggler workload (ISSUE 7's acceptance criterion): 4 workers,
-/// one 4× slower. Per-generation wall-clock under the static
-/// one-shard-per-worker baseline versus the micro-shard scheduler,
-/// against the ideal of a uniform fleet of 4 fast machines. The
-/// acceptance bar is micro ≤ 1.4× ideal while static ≥ 2× ideal.
+/// The straggler workload: 4 workers, one 4× slower. Per-generation
+/// wall-clock under the micro-shard scheduler against the ideal of a
+/// uniform fleet of 4 fast machines.
 fn distributed_throughput() -> Value {
     let straggler = [FAST_DELAY_US, FAST_DELAY_US, FAST_DELAY_US, SLOW_DELAY_US];
     let uniform = [FAST_DELAY_US; 4];
 
-    eprintln!("bench_json: distributed_throughput — static scheduler on the straggler fleet...");
-    let (static_gens, _, _) = straggler_run(&straggler, 0, false);
     eprintln!(
         "bench_json: distributed_throughput — micro-shard scheduler on the straggler fleet..."
     );
-    let (micro_gens, stats, _) =
-        straggler_run(&straggler, naas::distributed::DEFAULT_MICROSHARDS, false);
-    eprintln!("bench_json: distributed_throughput — overlap reactor on the straggler fleet...");
-    let (overlap_gens, _, overlap) =
-        straggler_run(&straggler, naas::distributed::DEFAULT_MICROSHARDS, true);
+    let (micro_gens, stats) = straggler_run(&straggler);
     eprintln!("bench_json: distributed_throughput — ideal uniform fleet...");
-    let (ideal_gens, _, _) = straggler_run(&uniform, 0, false);
+    let (ideal_gens, _) = straggler_run(&uniform);
 
-    let static_ms = warm_median_ms(&static_gens);
     let micro_ms = warm_median_ms(&micro_gens);
-    let overlap_ms = warm_median_ms(&overlap_gens);
     let ideal_ms = warm_median_ms(&ideal_gens);
 
     obj(vec![
@@ -296,37 +273,30 @@ fn distributed_throughput() -> Value {
         ("population", Value::U64(STRAGGLER_POPULATION as u64)),
         ("fast_delay_us", Value::U64(FAST_DELAY_US)),
         ("slow_delay_us", Value::U64(SLOW_DELAY_US)),
-        ("generations_timed", Value::U64(static_gens.len() as u64)),
-        ("static_straggler_gen_ms", Value::F64(static_ms)),
+        ("generations_timed", Value::U64(micro_gens.len() as u64)),
         ("microshard_straggler_gen_ms", Value::F64(micro_ms)),
-        ("overlap_straggler_gen_ms", Value::F64(overlap_ms)),
         ("ideal_uniform_gen_ms", Value::F64(ideal_ms)),
-        ("static_vs_ideal", Value::F64(static_ms / ideal_ms)),
         ("microshard_vs_ideal", Value::F64(micro_ms / ideal_ms)),
-        ("overlap_vs_ideal", Value::F64(overlap_ms / ideal_ms)),
         ("steals", Value::U64(stats.steals)),
         ("resplits", Value::U64(stats.resplits)),
         ("speculations", Value::U64(stats.speculations)),
         ("duplicate_replies", Value::U64(stats.duplicate_replies)),
-        ("overlap_asks", Value::U64(overlap.asks)),
-        ("overlap_hits", Value::U64(overlap.hits)),
-        ("overlap_rollbacks", Value::U64(overlap.rollbacks)),
         ("joint_small_generation", joint_small_generation()),
     ])
 }
 
 /// Candidates per generation of the small-generation joint workload —
-/// deliberately *half* the fleet, so whole-candidate (barrier) sharding
-/// structurally strands two of the four workers.
+/// deliberately *half* the fleet, so the coordinator picks `joint_unit`
+/// shards (whole-candidate shards would strand two of the four workers).
 const JOINT_POPULATION: usize = 2;
 /// Outer accelerator generations of the joint workload.
 const JOINT_ITERATIONS: usize = 4;
 
-/// Runs one sharded joint search over a fresh uniform 4-worker fleet,
-/// coarse whole-candidate shards (`overlap == false`, the barrier path)
-/// versus `joint_unit` sub-candidate sharding under the overlap
-/// reactor, returning per-generation wall-clock plus overlap counters.
-fn joint_run(overlap: bool) -> (Vec<f64>, naas::OverlapStats) {
+/// Runs one sharded joint search over a fresh uniform 4-worker fleet.
+/// The population is below the fleet size, so the coordinator shards
+/// it per `(candidate, subnet)` unit. Returns per-generation wall-clock
+/// plus the scheduler counters.
+fn joint_run() -> (Vec<f64>, naas::SchedulerStats) {
     let envelope = naas_accel::ResourceConstraint::from_design(&naas_accel::baselines::eyeriss());
     let mut cfg = naas::JointConfig::quick(29);
     cfg.accel.population = JOINT_POPULATION;
@@ -344,7 +314,6 @@ fn joint_run(overlap: bool) -> (Vec<f64>, naas::OverlapStats) {
     let addrs: Vec<String> = (0..4).map(|_| spawn_worker(0)).collect();
     let mut coordinator =
         naas::DistributedCoordinator::connect_joint(&addrs).expect("fleet reachable");
-    coordinator.set_overlap(overlap);
 
     let engine = naas::CoSearchEngine::new(1);
     let model = naas_cost::CostModel::new();
@@ -358,36 +327,21 @@ fn joint_run(overlap: bool) -> (Vec<f64>, naas::OverlapStats) {
         }
         gens.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    (gens, coordinator.overlap_stats())
+    (gens, coordinator.scheduler_stats())
 }
 
-/// The small-generation joint workload (the overlap acceptance bar): a
-/// 2-candidate joint generation on a 4-worker fleet. The barrier path
-/// cannot shard below one NAS evolution, so half the fleet idles every
-/// generation; `joint_unit` sharding under `--overlap on` decomposes
-/// each candidate into per-subnet units and saturates all four workers.
+/// The small-generation joint workload: a 2-candidate joint generation
+/// on a 4-worker fleet. Whole-candidate shards would idle half the
+/// fleet, so the coordinator decomposes each candidate into per-subnet
+/// `joint_unit` shards and saturates all four workers.
 fn joint_small_generation() -> Value {
-    eprintln!("bench_json: distributed_throughput — joint barrier (whole-candidate shards)...");
-    let (barrier_gens, _) = joint_run(false);
-    eprintln!("bench_json: distributed_throughput — joint overlap (joint_unit shards)...");
-    let (overlap_gens, stats) = joint_run(true);
-
-    let barrier_ms = warm_median_ms(&barrier_gens);
-    let overlap_ms = warm_median_ms(&overlap_gens);
+    eprintln!("bench_json: distributed_throughput — joint small generation (joint_unit shards)...");
+    let (gens, stats) = joint_run();
     obj(vec![
         ("workers", Value::U64(4)),
         ("population", Value::U64(JOINT_POPULATION as u64)),
-        ("generations_timed", Value::U64(barrier_gens.len() as u64)),
-        ("barrier_gen_ms", Value::F64(barrier_ms)),
-        ("overlap_gen_ms", Value::F64(overlap_ms)),
-        (
-            "overlap_vs_barrier_speedup",
-            Value::F64(if overlap_ms > 0.0 {
-                barrier_ms / overlap_ms
-            } else {
-                0.0
-            }),
-        ),
+        ("generations_timed", Value::U64(gens.len() as u64)),
+        ("joint_unit_gen_ms", Value::F64(warm_median_ms(&gens))),
         ("joint_units", Value::U64(stats.joint_units)),
     ])
 }
@@ -503,8 +457,8 @@ fn main() {
             "description",
             Value::Str(
                 "median wall-clock ms of the mapping_throughput, service_throughput, \
-                 distributed_throughput (straggler + overlap reactor + small-generation \
-                 joint_unit workloads) and pareto_search benchmark workloads (see \
+                 distributed_throughput (straggler + small-generation joint_unit \
+                 workloads) and pareto_search benchmark workloads (see \
                  crates/bench/benches/, naas::distributed and naas::pareto)"
                     .to_string(),
             ),

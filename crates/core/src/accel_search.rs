@@ -431,13 +431,11 @@ where
 ///
 /// Produced by [`accel_sample_generation`], consumed by
 /// [`accel_commit_generation`]; [`accel_search_step_with`] is exactly
-/// the two in sequence around one evaluator call. The split is the
-/// optimizer fork/rollback seam the overlapped coordinator
-/// (`crate::distributed`) builds on: a speculative next generation is
-/// sampled from a *cloned* state fed a predicted commit, and reusing its
-/// evaluations is gated on whole-struct equality with the real sample —
-/// candidates are pure functions of their content, so equal samples mean
-/// equal results.
+/// the two in sequence around one evaluator call. Callers that need to
+/// observe or time the evaluation between sampling and commit (the
+/// benchmark's traced local step, for one) drive the two halves
+/// directly. Sampling is deterministic, so two equal states draw equal
+/// generations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampledGeneration {
     /// The iteration this generation was sampled for.

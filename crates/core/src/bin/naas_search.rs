@@ -7,32 +7,37 @@
 //!                            [--cache-file FILE] [--cache-cap N]
 //!                            [--workers host:port,...] [--metrics-file FILE]
 //!                            [--microshards N] [--steal-deadline MS]
-//!                            [--overlap on|off] [--objectives scalar|pareto]
+//!                            [--objectives scalar|pareto]
 //! naas-search run --file scenario.json [...]
-//! naas-search resume <checkpoint-file> [--threads N] [--cache-file FILE]
-//!                                      [--cache-cap N]
+//! naas-search resume <checkpoint-file> [--threads N] [--every K]
+//!                                      [--cache-file FILE] [--cache-cap N]
 //!                                      [--workers host:port,...|local]
 //!                                      [--metrics-file FILE]
 //!                                      [--microshards N] [--steal-deadline MS]
-//!                                      [--overlap on|off]
 //!                                      [--objectives scalar|pareto]
 //! naas-search show <checkpoint-file>
 //! naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper]
-//!                   [--threads N] [--cache-file FILE] [--cache-cap N]
+//!                   [--seed N] [--threads N] [--cache-file FILE] [--cache-cap N]
 //!                   [--metrics-file FILE]
 //! naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper]
-//!                    [--threads N] [--cache-file FILE] [--cache-cap N]
+//!                    [--seed N] [--threads N] [--cache-file FILE] [--cache-cap N]
 //!                    [--metrics-file FILE]
 //! naas-search gateway [--port N] [--bind ADDR] [--max-jobs N]
 //!                     [--tenant-quota N] [--executors N]
-//!                     [--workers host:port,...] [--threads N]
-//!                     [--cache-file FILE] [--cache-cap N]
-//!                     [--metrics-file FILE] [--overlap on|off]
+//!                     [--workers host:port,...] [--microshards N]
+//!                     [--steal-deadline MS] [--preset smoke|quick|paper]
+//!                     [--seed N] [--threads N] [--cache-file FILE]
+//!                     [--cache-cap N] [--metrics-file FILE]
 //! naas-search client <host:port> [metrics]
 //! naas-search client <host:port> submit --scenario NAME [--kind accel|joint]
 //!                     [--tenant T] [--weight N] [--seed N] [--preset quick|paper]
-//! naas-search client <host:port> status|events|cancel|result|wait --job N
+//! naas-search client <host:port> status|cancel|result|wait --job N
+//! naas-search client <host:port> events --job N [--since K] [--follow true]
 //! ```
+//!
+//! Each command accepts exactly the options listed for it; any other
+//! `--option` is refused with a nonzero exit, so a typo or a retired
+//! flag never silently falls back to a default.
 //!
 //! `run` executes an accelerator search for a registered scenario (or one
 //! loaded from a JSON file), optionally checkpointing every K generations;
@@ -59,28 +64,17 @@
 //! single-process).
 //!
 //! `--microshards N` tunes how many micro-shards each live worker's
-//! queue is cut into per generation (default 6; `0` selects the static
-//! one-shard-per-worker scheduler, which disables work stealing and
-//! speculative re-issue). `--steal-deadline MS` is the age after which
-//! an in-flight micro-shard is speculatively re-issued to an idle
-//! worker (default 500 ms, first answer wins). Both are scheduling
-//! knobs only — results stay bit-identical at any setting — and both
-//! are recorded in the checkpointed shard plan, so `resume` keeps the
-//! tuning unless overridden. See docs/OPERATIONS.md ("Tuning the
-//! scheduler"). Degenerate tunings (`--steal-deadline 0`,
+//! queue is cut into per generation (default 6, at least 1).
+//! `--steal-deadline MS` is the age after which an in-flight
+//! micro-shard is speculatively re-issued to an idle worker (default
+//! 500 ms, first answer wins). Both are scheduling knobs only — results
+//! stay bit-identical at any setting — and both are recorded in the
+//! checkpointed shard plan, so `resume` keeps the tuning unless
+//! overridden. See docs/OPERATIONS.md ("Tuning the scheduler").
+//! Degenerate tunings (`--steal-deadline 0`, `--microshards 0` and
 //! `--microshards` above the population) are rejected at parse time.
-//!
-//! `--overlap on` switches the coordinator from the barrier scheduler
-//! to the event-driven overlap reactor: while a generation's
-//! micro-shards are in flight, the next generation is speculatively
-//! sampled from a forked optimizer state and dispatched to workers
-//! that would otherwise idle; if merging the real results changes the
-//! trajectory, the speculation is rolled back and re-asked. Results
-//! stay bit-identical to `--overlap off` (the default) at any
-//! completion order — overlap is a latency optimization, never a
-//! semantic one. The setting is recorded in the checkpointed shard
-//! plan, so `resume` keeps it unless overridden. See
-//! docs/ARCHITECTURE.md ("The overlap reactor").
+//! Checkpoints whose recorded plan says `microshards: 0` or carries an
+//! `overlap` field resume on the default scheduler.
 //!
 //! `--cache-file` persists the engine's mapping memo cache: entries are
 //! warm-loaded before the search starts (if the file exists) and the
@@ -113,7 +107,10 @@
 //! capability): it serves everything `serve` does *plus* the `job_*`
 //! command family, running many concurrent accel/joint search jobs as
 //! checkpointed step-loops interleaved on one shared engine — and, with
-//! `--workers`, one shared worker fleet. `--max-jobs` bounds resident
+//! `--workers`, one shared worker fleet. A joint job whose population
+//! is smaller than the fleet's `joint_unit` workers is sharded per
+//! `(candidate, subnet)` unit so no worker idles; see
+//! docs/ARCHITECTURE.md ("Sub-candidate joint sharding"). `--max-jobs` bounds resident
 //! jobs (submits beyond it answer `rejected:over_capacity`),
 //! `--tenant-quota` caps any one tenant's in-flight generations, and
 //! `--executors` sets cross-job concurrency. The `client` job verbs
@@ -155,24 +152,24 @@ fn usage() -> ! {
         "usage:\n  naas-search list\n  naas-search run <scenario|--file scenario.json> \
          [--preset smoke|quick|paper] [--seed N] [--threads N] [--checkpoint FILE] [--every K] \
          [--cache-file FILE] [--cache-cap N] [--workers host:port,...] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS] [--overlap on|off] \
-         [--objectives scalar|pareto]\n  \
+         [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
          naas-search resume <checkpoint-file> [--threads N] [--every K] [--cache-file FILE] \
          [--cache-cap N] [--workers host:port,...|local] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS] [--overlap on|off] \
-         [--objectives scalar|pareto]\n  \
+         [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
          naas-search show <checkpoint-file>\n  \
-         naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper] \
+         naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
          [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
-         naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper] \
+         naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
          [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
          naas-search gateway [--port N] [--bind ADDR] [--max-jobs N] [--tenant-quota N] \
-         [--executors N] [--workers host:port,...] [--threads N] [--cache-file FILE] \
-         [--cache-cap N] [--metrics-file FILE] [--overlap on|off]\n  \
+         [--executors N] [--workers host:port,...] [--microshards N] [--steal-deadline MS] \
+         [--preset smoke|quick|paper] [--seed N] [--threads N] [--cache-file FILE] \
+         [--cache-cap N] [--metrics-file FILE]\n  \
          naas-search client <host:port> [metrics]\n  \
          naas-search client <host:port> submit --scenario NAME [--kind accel|joint] \
          [--tenant T] [--weight N] [--seed N] [--preset quick|paper]\n  \
-         naas-search client <host:port> status|events|cancel|result|wait --job N",
+         naas-search client <host:port> status|cancel|result|wait --job N\n  \
+         naas-search client <host:port> events --job N [--since K] [--follow true]",
         &[],
     );
     exit(2);
@@ -228,17 +225,52 @@ impl Args {
     }
 }
 
+/// The options each command accepts, space-separated; any other
+/// `--option` is refused.
+fn accepted_options(command: &str) -> &'static str {
+    const SERVICE: &str = "port bind preset seed threads cache-file cache-cap metrics-file";
+    match command {
+        "list" | "show" => "",
+        "run" => {
+            "file preset seed threads checkpoint every cache-file cache-cap workers \
+             metrics-file microshards steal-deadline objectives"
+        }
+        "resume" => {
+            "threads every cache-file cache-cap workers metrics-file microshards \
+             steal-deadline objectives"
+        }
+        "serve" | "worker" => SERVICE,
+        "gateway" => {
+            "port bind max-jobs tenant-quota executors workers microshards steal-deadline \
+             preset seed threads cache-file cache-cap metrics-file"
+        }
+        "client" => "scenario kind tenant weight seed preset job since follow",
+        _ => usage(),
+    }
+}
+
 fn main() {
     let args = Args::parse(std::env::args().skip(1).collect());
-    match args.positional.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args),
-        Some("resume") => cmd_resume(&args),
-        Some("show") => cmd_show(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("worker") => cmd_worker(&args),
-        Some("gateway") => cmd_gateway(&args),
-        Some("client") => cmd_client(&args),
+    let command = args
+        .positional
+        .first()
+        .map_or_else(|| usage(), String::as_str);
+    let accepted = accepted_options(command);
+    let known = |key: &str| accepted.split_whitespace().any(|a| a == key);
+    if let Some((key, _)) = args.options.iter().find(|(k, _)| !known(k)) {
+        fail(format!(
+            "unknown option --{key} for `naas-search {command}` (see `naas-search` for usage)"
+        ));
+    }
+    match command {
+        "list" => cmd_list(),
+        "run" => cmd_run(&args),
+        "resume" => cmd_resume(&args),
+        "show" => cmd_show(&args),
+        "serve" => cmd_serve(&args),
+        "worker" => cmd_worker(&args),
+        "gateway" => cmd_gateway(&args),
+        "client" => cmd_client(&args),
         _ => usage(),
     }
 }
@@ -401,18 +433,18 @@ fn make_driver(args: &Args, workers: Option<&str>, scenario: &Scenario) -> Drive
     Driver::Distributed(Box::new(coordinator))
 }
 
-/// Applies `--microshards` / `--steal-deadline` / `--overlap` to a
-/// coordinator. On resume, a recorded shard `plan` supplies the
-/// defaults (the tuning an interrupted run was using), and explicit
-/// flags override it; old checkpoints without the fields keep the
-/// built-in defaults. Tuning never changes results — only how fast
-/// generations clear.
+/// Applies `--microshards` / `--steal-deadline` to a coordinator. On
+/// resume, a recorded shard `plan` supplies the defaults (the tuning an
+/// interrupted run was using), and explicit flags override it; old
+/// checkpoints without the fields keep the built-in defaults, and so
+/// do those that recorded the removed static plan (`microshards: 0`).
+/// Tuning never changes results — only how fast generations clear.
 fn apply_scheduler_flags(
     coordinator: &mut naas::DistributedCoordinator,
     args: &Args,
     plan: Option<&naas::ShardPlan>,
 ) {
-    let recorded = plan.and_then(|p| p.microshards);
+    let recorded = plan.and_then(|p| p.microshards).filter(|&m| m > 0);
     if let Some(micro) = args.get_num("microshards").or(recorded) {
         coordinator.set_microshards(micro);
     }
@@ -420,19 +452,6 @@ fn apply_scheduler_flags(
     if let Some(ms) = args.get_num::<u64>("steal-deadline").or(recorded_ms) {
         coordinator.set_steal_deadline(std::time::Duration::from_millis(ms));
     }
-    let recorded_overlap = plan.and_then(|p| p.overlap);
-    if let Some(on) = overlap_flag(args).or(recorded_overlap) {
-        coordinator.set_overlap(on);
-    }
-}
-
-/// Parses `--overlap on|off`; `None` when the flag is absent.
-fn overlap_flag(args: &Args) -> Option<bool> {
-    args.get("overlap").map(|v| match v {
-        "on" => true,
-        "off" => false,
-        other => fail(format!("--overlap expects `on` or `off`, got `{other}`")),
-    })
 }
 
 /// Rejects degenerate scheduler tunings at parse time, before any
@@ -442,7 +461,7 @@ fn overlap_flag(args: &Args) -> Option<bool> {
 /// validated by the run that wrote them.
 fn check_scheduler_flags(args: &Args, population: usize) {
     naas::validate_scheduler_flags(
-        args.get_num("microshards").unwrap_or(0),
+        args.get_num("microshards"),
         args.get_num("steal-deadline").unwrap_or(1),
         population,
     )
@@ -847,9 +866,6 @@ fn cmd_gateway(args: &Args) {
                 args.get_num::<u64>("steal-deadline")
                     .map(std::time::Duration::from_millis),
             );
-            if let Some(on) = overlap_flag(args) {
-                shared.set_overlap(on);
-            }
             println!(
                 "gateway sharding over {} worker(s): {}",
                 addrs.len(),

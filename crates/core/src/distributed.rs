@@ -7,9 +7,8 @@
 //! its content (content-derived inner seeds, content-addressed mapping
 //! cache). That purity is what makes distribution *trivial to get right*:
 //! a [`DistributedCoordinator`] runs the ordinary sampling/optimizer
-//! logic of
-//! [`accel_search_step_with`](crate::accel_search::accel_search_step_with)
-//! (or [`joint_search_step_with`] for the joint loop) and only
+//! logic of [`accel_search_step_with`] (or [`joint_search_step_with`]
+//! for the joint loop) and only
 //! relocates the candidate evaluations — each
 //! generation's population is split into contiguous **micro-shards** in
 //! candidate order, fanned out as `evaluate_shard` requests to
@@ -45,9 +44,24 @@
 //!
 //! Micro-shards are still contiguous candidate ranges merged in
 //! candidate order, so bit-identity is preserved *by construction* no
-//! matter which worker answers which shard in which order. Setting
-//! `--microshards 0` restores the static one-shard-per-worker plan
-//! (the baseline the `distributed_throughput` bench compares against).
+//! matter which worker answers which shard in which order. This is the
+//! only scheduler: every accelerator generation and every joint wave
+//! runs through it.
+//!
+//! ## Sub-candidate joint sharding
+//!
+//! A joint shard normally carries whole candidates: one worker runs a
+//! candidate's entire NAS evolution. That strands workers whenever a
+//! generation has fewer candidates than the fleet has workers, so
+//! [`DistributedCoordinator::step_joint`] then switches to `joint_unit`
+//! shards: the coordinator drives each candidate's evolution itself and
+//! fans out one `(candidate, subnet)` mapping search per unit. The rule
+//! is computed from the inputs, not set by a flag: units are used
+//! exactly when the joint population is smaller than the number of live
+//! workers advertising the `joint_unit` capability. Every other joint
+//! generation keeps whole-candidate shards: forcing units there measured
+//! about 2× slower end to end. Both paths are bit-identical to the
+//! single-process search.
 //!
 //! ## Version handshake
 //!
@@ -108,8 +122,7 @@
 //! ```
 
 use crate::accel_search::{
-    accel_commit_generation, accel_sample_generation, evaluate_candidate, AccelSearchState,
-    CandidateEval, SampledGeneration,
+    accel_search_step_with, evaluate_candidate, AccelSearchState, CandidateEval,
 };
 use crate::engine::CoSearchEngine;
 use crate::joint::{
@@ -128,8 +141,7 @@ use naas_nas::{AccuracyModel, NasConfig, Subnet, SubnetSearchDriver};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bound, in generations, on the re-dial backoff of a dead worker:
@@ -149,12 +161,6 @@ const JOINT_CAPABILITY: &str = "joint";
 /// a fleet without it falls back to whole-candidate joint shards.
 const JOINT_UNIT_CAPABILITY: &str = "joint_unit";
 
-/// Default capacity of the per-job speculation map: how many jobs'
-/// speculative generations an overlapped coordinator keeps banked at
-/// once. Inserting past it evicts the oldest entry, which counts as a
-/// rollback.
-pub const DEFAULT_SPEC_CAPACITY: usize = 8;
-
 /// Bound on every worker dial (first connect, transparent reconnect,
 /// rejoin probe). Rejoin probes run on background threads, so this
 /// bounds how long a probe thread lives against a machine that drops
@@ -172,7 +178,7 @@ pub const DEFAULT_MICROSHARDS: usize = 6;
 pub const DEFAULT_STEAL_DEADLINE: Duration = Duration::from_millis(500);
 
 /// The scheduler's receive/poll tick: how long an idle worker thread
-/// waits before re-checking for stealable or speculatable work.
+/// waits before re-checking for stealable or overdue work.
 const SCHED_TICK: Duration = Duration::from_millis(5);
 
 /// How long a generation boundary waits for in-flight rejoin probes to
@@ -189,16 +195,15 @@ const REJOIN_GRACE: Duration = Duration::from_millis(150);
 pub struct ShardPlan {
     /// Worker addresses (`host:port`), in shard order.
     pub workers: Vec<String>,
-    /// Micro-shards per live worker (`0` = static one-shard-per-worker
-    /// dispatch). `None` in checkpoints from before the scheduler
-    /// existed — resumed as the default.
+    /// Micro-shards per live worker. `None` in checkpoints from before
+    /// the scheduler existed, and `Some(0)` (the removed static plan) in
+    /// checkpoints from older builds — both resume as the default.
+    /// Older checkpoints may also carry an `overlap` field; it is
+    /// ignored, since scheduling never changes results.
     pub microshards: Option<usize>,
     /// Speculative re-issue deadline, milliseconds. `None` in old
     /// checkpoints — resumed as the default.
     pub steal_deadline_ms: Option<u64>,
-    /// Whether the run overlapped generations (`--overlap on`). `None`
-    /// in checkpoints from before the reactor existed — resumed as off.
-    pub overlap: Option<bool>,
 }
 
 /// Validates the scheduler tuning flags at configuration time — the CLI
@@ -209,11 +214,13 @@ pub struct ShardPlan {
 ///
 /// * `--steal-deadline 0` would mark every in-flight shard overdue the
 ///   moment it is issued, turning the whole run into duplicate work.
+/// * `--microshards 0` asked for the static one-shard-per-worker plan,
+///   which was removed: the micro-shard scheduler is the only one.
 /// * `--microshards` above the population cannot be honored: shards are
 ///   contiguous candidate ranges, so there can never be more non-empty
 ///   shards than candidates.
 pub fn validate_scheduler_flags(
-    microshards: usize,
+    microshards: Option<usize>,
     steal_deadline_ms: u64,
     population: usize,
 ) -> Result<(), String> {
@@ -224,6 +231,16 @@ pub fn validate_scheduler_flags(
                 .to_string(),
         );
     }
+    let Some(microshards) = microshards else {
+        return Ok(());
+    };
+    if microshards == 0 {
+        return Err(format!(
+            "--microshards 0 selected the static one-shard-per-worker plan, which was \
+             removed: the micro-shard scheduler is the only one (omit the flag for the \
+             default of {DEFAULT_MICROSHARDS} per worker)"
+        ));
+    }
     if microshards > population {
         return Err(format!(
             "--microshards {microshards} exceeds the population size {population}: micro-shards \
@@ -233,49 +250,12 @@ pub fn validate_scheduler_flags(
     Ok(())
 }
 
-/// Counters of the overlap reactor (speculative ask/rollback), exposed
-/// per coordinator for tests and benches. The core invariant — enforced
-/// by `tests/tests/reactor.rs` — is `asks == hits + rollbacks` once a
-/// run completes: every speculative generation is either committed
-/// (its sample matched the real one) or rolled back, never both and
-/// never silently dropped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverlapStats {
-    /// Speculative generations sampled from a forked optimizer state
-    /// and dispatched to idle workers.
-    pub asks: u64,
-    /// Speculations whose sample matched the real next generation: the
-    /// fork replayed the exact post-tell stream, so its evaluations
-    /// were banked.
-    pub hits: u64,
-    /// Speculations discarded: the merged `tell` changed the sampling
-    /// trajectory (mismatch), or the speculation was evicted before its
-    /// generation arrived.
-    pub rollbacks: u64,
-    /// Candidate evaluations reused from banked speculative work.
-    pub banked: u64,
-    /// Wall milliseconds of barrier time shaved: time between a
-    /// speculation's install and the end of its generation's scheduler.
-    pub overlap_ms: u64,
-    /// Sub-candidate joint work units merged (`joint_unit` wire mode).
-    pub joint_units: u64,
-}
-
-/// One banked speculative generation: the forked sample and whatever
-/// results the idle fleet managed to evaluate before the real
-/// generation's barrier closed (`None` slots were never evaluated).
-/// Keyed per job so gateway tenants never thrash each other's forks.
-struct AccelSpeculation {
-    sampled: SampledGeneration,
-    results: Vec<Option<CandidateOutcome>>,
-}
-
 /// Per-generation (and cumulative) counters of the micro-shard
 /// scheduler, exposed for tests and benches that need exact per-run
 /// numbers without racing on the process-global telemetry registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Micro-shard requests issued (every copy, including speculation).
+    /// Micro-shard requests issued (every copy, including re-issues).
     pub microshards: u64,
     /// Micro-shards stolen from another worker's un-issued queue tail.
     pub steals: u64,
@@ -287,6 +267,8 @@ pub struct SchedulerStats {
     pub duplicate_replies: u64,
     /// Shard ranges re-routed after a worker failure or rejection.
     pub reissues: u64,
+    /// Sub-candidate joint work units merged (`joint_unit` wire mode).
+    pub joint_units: u64,
 }
 
 impl SchedulerStats {
@@ -297,6 +279,7 @@ impl SchedulerStats {
         self.speculations += other.speculations;
         self.duplicate_replies += other.duplicate_replies;
         self.reissues += other.reissues;
+        self.joint_units += other.joint_units;
     }
 }
 
@@ -319,46 +302,6 @@ type ParseShard<T> = dyn Fn(&Value, usize) -> Result<Vec<T>, String> + Sync;
 
 /// Evaluates one candidate range on the coordinator's own engine.
 type LocalFallback<'a, T> = dyn FnMut(Range<usize>) -> Vec<T> + 'a;
-
-/// One speculative generation's worth of extra work, produced by a
-/// [`SpecHook`] at the pool-drain event: `count` slots whose shard
-/// requests `build` constructs (ranges in the speculative 0-based
-/// domain — the scheduler offsets them past the primary candidates).
-/// The builder owns everything it needs (`'static`): the speculative
-/// generation is a self-contained bet, not a view into the primary one.
-struct SpecJob {
-    count: usize,
-    build: Box<dyn Fn(Range<usize>) -> ShardParams + Send + Sync>,
-}
-
-/// The speculative-ask callback: given a snapshot of the primary
-/// results merged so far, fork the search state, predict the commit and
-/// sample the next generation. `None` declines to speculate (last
-/// generation, or the fork found the search finished).
-type SpecHook<'a, T> = dyn Fn(&[Option<T>]) -> Option<SpecJob> + Sync + 'a;
-
-/// Shared speculation state of one scheduler run. The hook fires at
-/// most once — the first worker thread to find no primary work left
-/// claims it (`claimed`), installs the returned job, and extends the
-/// merge domain; `installed` flips only after the spec ranges are
-/// visible, so readers never observe a half-installed job.
-struct SpecShared<'h, T> {
-    hook: &'h SpecHook<'h, T>,
-    job: OnceLock<SpecJob>,
-    claimed: AtomicBool,
-    installed: AtomicBool,
-    /// When the job was installed — the overlap window's start.
-    installed_at: Mutex<Option<Instant>>,
-}
-
-/// What the scheduler hands back about the speculative generation: one
-/// result per speculative slot (`None` = the fleet never got to it —
-/// speculation is opportunistic and is never completed locally), plus
-/// how long speculative work overlapped the primary generation.
-struct SpecOutcome<T> {
-    results: Vec<Option<T>>,
-    overlap_ms: u64,
-}
 
 struct WorkerSlot {
     remote: RemoteWorker,
@@ -400,7 +343,7 @@ pub struct DistributedCoordinator {
     /// Busiest worker of the generation in progress (address, busy
     /// micros) — telemetry only, surfaced in the progress event.
     last_slowest: Option<(String, u64)>,
-    /// Micro-shards per live worker; `0` = static dispatch.
+    /// Micro-shards per live worker (at least 1).
     microshards: usize,
     /// Age past which an in-flight shard is speculatively re-issued.
     steal_deadline: Duration,
@@ -423,17 +366,6 @@ pub struct DistributedCoordinator {
     /// process-lifetime, the archive's are state-lifetime, so only the
     /// growth since the last publication is added.
     pareto_published: (u64, u64),
-    /// Barrier-free generation overlap (`--overlap on`): speculative
-    /// ask/rollback for accelerator steps, sub-candidate `joint_unit`
-    /// sharding for joint steps.
-    overlap: bool,
-    /// Banked speculative generations, keyed per job (the CLI uses key
-    /// 0; the gateway keys by job id). Bounded by `spec_capacity`.
-    accel_spec: HashMap<u64, AccelSpeculation>,
-    /// Capacity of `accel_spec`; evictions count as rollbacks.
-    spec_capacity: usize,
-    /// Overlap reactor counters over this coordinator's lifetime.
-    overlap_stats: OverlapStats,
 }
 
 impl DistributedCoordinator {
@@ -506,10 +438,6 @@ impl DistributedCoordinator {
             probe_rx,
             probing: vec![false; worker_count],
             pareto_published: (0, 0),
-            overlap: false,
-            accel_spec: HashMap::new(),
-            spec_capacity: DEFAULT_SPEC_CAPACITY,
-            overlap_stats: OverlapStats::default(),
         })
     }
 
@@ -526,53 +454,18 @@ impl DistributedCoordinator {
             steal_deadline_ms: Some(
                 u64::try_from(self.steal_deadline.as_millis()).unwrap_or(u64::MAX),
             ),
-            overlap: Some(self.overlap),
         }
     }
 
-    /// Sets the micro-shards-per-worker target. `0` disables the
-    /// dynamic scheduler entirely: one shard per live worker, no
-    /// stealing, no speculation — the pre-scheduler dispatch, kept as
-    /// the measurable baseline.
+    /// Sets the micro-shards-per-worker target (at least 1).
     pub fn set_microshards(&mut self, microshards: usize) {
-        self.microshards = microshards;
+        self.microshards = microshards.max(1);
     }
 
     /// Sets the age past which an in-flight shard on a slower worker is
     /// speculatively re-issued to an idle one.
     pub fn set_steal_deadline(&mut self, deadline: Duration) {
         self.steal_deadline = deadline;
-    }
-
-    /// Turns barrier-free generation overlap on or off (default off —
-    /// the barrier path is the oracle the reactor is verified against).
-    /// With overlap on, accelerator steps speculatively `ask` the next
-    /// generation from a forked optimizer state while the current one
-    /// is still in flight, and joint steps shard below candidate
-    /// granularity (`joint_unit`) when the fleet supports it. The
-    /// trajectory stays bit-identical either way; only wall time and
-    /// the `overlap_*` counters change.
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
-    }
-
-    /// Whether generation overlap is on.
-    pub fn overlap(&self) -> bool {
-        self.overlap
-    }
-
-    /// Bounds the per-job speculation map (minimum 1). Shrinking below
-    /// the current occupancy evicts on the next insert, which counts as
-    /// a rollback — capacity 1 makes rollbacks deterministic in tests
-    /// that interleave two jobs.
-    pub fn set_spec_capacity(&mut self, capacity: usize) {
-        self.spec_capacity = capacity.max(1);
-    }
-
-    /// Overlap reactor counters accumulated since the coordinator
-    /// connected.
-    pub fn overlap_stats(&self) -> OverlapStats {
-        self.overlap_stats
     }
 
     /// Scheduler counters of the most recently completed generation.
@@ -638,210 +531,41 @@ impl DistributedCoordinator {
         networks: &[Network],
         state: &mut AccelSearchState,
     ) -> bool {
-        self.step_with_scenario_keyed(0, scenario_value, engine, model, networks, state)
-    }
-
-    /// [`DistributedCoordinator::step_with_scenario`] with an explicit
-    /// speculation key: overlapped speculative generations are banked
-    /// per key, so concurrent jobs interleaving their generations on one
-    /// fleet (the gateway keys by job id) never consume — or thrash —
-    /// each other's forks. With overlap off the key is inert.
-    ///
-    /// This is the reactor's accelerator-mode event loop. One step:
-    ///
-    /// 1. **sample** the real generation ([`accel_sample_generation`]);
-    /// 2. **bank check**: a speculation stored under `key` whose sample
-    ///    equals the real one (whole-struct equality — thetas, decoded
-    ///    designs, rejected draws, iteration) is a *hit* and its results
-    ///    are reused; anything else is a *rollback*. Equal samples imply
-    ///    equal results, because every candidate evaluation is a pure
-    ///    function of its content;
-    /// 3. **evaluate** the slots the bank did not cover, on the fleet;
-    /// 4. while that runs, an idle worker that finds the primary pool
-    ///    drained fires the **speculative ask**: fork the state, commit
-    ///    the results merged so far (in-flight unknowns pessimistically
-    ///    infeasible), sample G+1 from the fork and feed it to the idle
-    ///    fleet — see `SpecShared` in the scheduler;
-    /// 5. **commit** the real generation ([`accel_commit_generation`])
-    ///    and bank whatever the speculation evaluated.
-    ///
-    /// The real state only ever advances through the real sample and
-    /// commit, so the trajectory is bit-identical to the barrier path at
-    /// any completion order — speculation can only change wall time and
-    /// counters.
-    pub fn step_with_scenario_keyed(
-        &mut self,
-        key: u64,
-        scenario_value: Value,
-        engine: &CoSearchEngine,
-        model: &CostModel,
-        networks: &[Network],
-        state: &mut AccelSearchState,
-    ) -> bool {
         assert!(!networks.is_empty(), "need at least one benchmark network");
         let cfg = state.config;
+        self.generation = state.iteration;
         let started = std::time::Instant::now();
-        let Some(sampled) = accel_sample_generation(state) else {
-            // A speculation banked for a search that just finished can
-            // never be consumed: roll it back so `asks` stays equal to
-            // `hits + rollbacks`.
-            if self.accel_spec.remove(&key).is_some() {
-                self.overlap_stats.rollbacks += 1;
-                telemetry::metrics().coordinator.overlap_rollbacks.inc();
-            }
-            return false;
-        };
-        self.generation = sampled.iteration;
-        let n = sampled.slots.len();
-
-        // Bank check: a hit replays the fork's evaluations; a mismatch
-        // rolls the fork back (the merged tell changed the trajectory).
-        let mut known: Vec<Option<CandidateOutcome>> = vec![None; n];
-        if let Some(spec) = self.accel_spec.remove(&key) {
-            if spec.sampled == sampled && spec.results.len() == n {
-                self.overlap_stats.hits += 1;
-                self.overlap_stats.banked +=
-                    spec.results.iter().filter(|r| r.is_some()).count() as u64;
-                known = spec.results;
-            } else {
-                self.overlap_stats.rollbacks += 1;
-                telemetry::metrics().coordinator.overlap_rollbacks.inc();
-            }
-        }
-        let unknowns: Vec<usize> = (0..n).filter(|&i| known[i].is_none()).collect();
-
-        self.try_rejoin();
-        let slots = &sampled.slots;
-        let build = |range: Range<usize>| -> Vec<(String, Value)> {
-            let candidates: Vec<Accelerator> = range
-                .map(|i| slots[unknowns[i]].1.clone())
-                .collect::<Vec<_>>();
-            vec![
-                ("scenario".to_string(), scenario_value.clone()),
-                ("candidates".to_string(), serde_json::to_value(&candidates)),
-                ("mapping".to_string(), serde_json::to_value(&cfg.mapping)),
-                ("reward".to_string(), serde_json::to_value(&cfg.reward)),
-            ]
-        };
-        let mut fallback = |range: Range<usize>| {
-            let idxs: Vec<usize> = range.map(|i| unknowns[i]).collect();
-            naas_engine::parallel_map(engine.threads(), &idxs, |_idx, &slot| {
-                evaluate_candidate(
-                    engine,
-                    model,
-                    &slots[slot].1,
-                    networks,
-                    &cfg.mapping,
-                    cfg.reward,
-                )
-            })
-        };
-
-        // The speculative ask, fired by the scheduler at the pool-drain
-        // event: predict the generation's commit from what has merged so
-        // far, fork, sample G+1 and hand its candidates to the idle
-        // fleet. The fork (`spec_sink`) is retrieved after the barrier.
-        let spec_sink: Mutex<Option<SampledGeneration>> = Mutex::new(None);
-        let state_ref: &AccelSearchState = state;
-        let known_ref = &known;
-        let unknowns_ref = &unknowns;
-        let sampled_ref = &sampled;
-        let spec_scenario = scenario_value.clone();
-        let hook = |merged_now: &[Option<CandidateOutcome>]| {
-            let predicted: Vec<CandidateOutcome> = (0..n)
-                .map(|i| match &known_ref[i] {
-                    Some(outcome) => outcome.clone(),
-                    // In-flight unknowns predict as infeasible (+inf
-                    // score): wrong predictions cost a rollback, never
-                    // correctness — and the speculative work only ever
-                    // spends cycles the tail would have left idle.
-                    None => {
-                        let pos = unknowns_ref
-                            .binary_search(&i)
-                            .expect("unknown slots index the scheduler domain");
-                        merged_now[pos].clone().unwrap_or(None)
-                    }
+        let advanced = accel_search_step_with(state, |slots| {
+            self.try_rejoin();
+            let build = |range: Range<usize>| -> Vec<(String, Value)> {
+                let candidates: Vec<Accelerator> =
+                    slots[range].iter().map(|(_, a)| a.clone()).collect();
+                vec![
+                    ("scenario".to_string(), scenario_value.clone()),
+                    ("candidates".to_string(), serde_json::to_value(&candidates)),
+                    ("mapping".to_string(), serde_json::to_value(&cfg.mapping)),
+                    ("reward".to_string(), serde_json::to_value(&cfg.reward)),
+                ]
+            };
+            let mut fallback = |range: Range<usize>| {
+                naas_engine::parallel_map(engine.threads(), &slots[range], |_idx, (_, accel)| {
+                    evaluate_candidate(engine, model, accel, networks, &cfg.mapping, cfg.reward)
                 })
-                .collect();
-            let mut fork = state_ref.clone();
-            accel_commit_generation(&mut fork, sampled_ref.clone(), predicted);
-            let next = accel_sample_generation(&mut fork)?;
-            *spec_sink.lock().unwrap_or_else(|p| p.into_inner()) = Some(next.clone());
-            let spec_slots = next.slots;
-            let scen = spec_scenario.clone();
-            Some(SpecJob {
-                count: spec_slots.len(),
-                build: Box::new(move |range: Range<usize>| {
-                    let candidates: Vec<Accelerator> =
-                        spec_slots[range].iter().map(|(_, a)| a.clone()).collect();
-                    vec![
-                        ("scenario".to_string(), scen.clone()),
-                        ("candidates".to_string(), serde_json::to_value(&candidates)),
-                        ("mapping".to_string(), serde_json::to_value(&cfg.mapping)),
-                        ("reward".to_string(), serde_json::to_value(&cfg.reward)),
-                    ]
-                }),
-            })
-        };
-        let spec_hook: Option<&SpecHook<'_, CandidateOutcome>> =
-            if self.overlap { Some(&hook) } else { None };
-
-        let (evaluated, spec_outcome) = self.evaluate_sharded(
-            unknowns.len(),
-            None,
-            &build,
-            &parse_shard_reply,
-            &mut fallback,
-            spec_hook,
-        );
-        for (pos, result) in evaluated.into_iter().enumerate() {
-            known[unknowns[pos]] = Some(result);
-        }
-        let results: Vec<CandidateOutcome> = known
-            .into_iter()
-            .map(|r| r.expect("every slot is banked or evaluated"))
-            .collect();
-
-        // Bank the speculation (evicting past capacity — an evicted ask
-        // can never hit, so it is a rollback).
-        if let Some(outcome) = spec_outcome {
-            if let Some(next) = spec_sink.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                let coordinator = &telemetry::metrics().coordinator;
-                self.overlap_stats.asks += 1;
-                coordinator.overlap_asks.inc();
-                self.overlap_stats.overlap_ms += outcome.overlap_ms;
-                coordinator.overlap_ms.add(outcome.overlap_ms);
-                while self.accel_spec.len() >= self.spec_capacity {
-                    let victim = *self
-                        .accel_spec
-                        .keys()
-                        .min()
-                        .expect("non-empty map past capacity");
-                    self.accel_spec.remove(&victim);
-                    self.overlap_stats.rollbacks += 1;
-                    coordinator.overlap_rollbacks.inc();
-                }
-                self.accel_spec.insert(
-                    key,
-                    AccelSpeculation {
-                        sampled: next,
-                        results: outcome.results,
-                    },
-                );
+            };
+            self.evaluate_sharded(slots.len(), None, &build, &parse_shard_reply, &mut fallback)
+        });
+        if advanced {
+            state.cache_stats = self.fleet_cache_stats(engine);
+            if let Some(archive) = state.archive() {
+                self.publish_pareto_telemetry(archive);
             }
+            self.finish_generation(
+                started,
+                state.best().map(|b| b.reward),
+                state.cache_stats.hit_rate(),
+            );
         }
-
-        accel_commit_generation(state, sampled, results);
-        state.cache_stats = self.fleet_cache_stats(engine);
-        if let Some(archive) = state.archive() {
-            self.publish_pareto_telemetry(archive);
-        }
-        self.finish_generation(
-            started,
-            state.best().map(|b| b.reward),
-            state.cache_stats.hit_rate(),
-        );
-        true
+        advanced
     }
 
     /// Advances the **joint** search by one outer generation, with each
@@ -853,6 +577,11 @@ impl DistributedCoordinator {
     /// none in the fleet, every generation runs on the local fallback.
     /// The coordinator's `accuracy` model is shipped with every shard,
     /// so workers need no out-of-band surrogate configuration.
+    ///
+    /// When the population is smaller than the number of live workers
+    /// advertising `joint_unit`, whole-candidate shards would strand
+    /// workers, so the generation shards per `(candidate, subnet)` unit
+    /// instead (see the module docs).
     pub fn step_joint(
         &mut self,
         engine: &CoSearchEngine,
@@ -860,23 +589,45 @@ impl DistributedCoordinator {
         accuracy: &AccuracyModel,
         state: &mut JointSearchState,
     ) -> bool {
-        // Overlap: shard below candidate granularity when some live
-        // worker speaks `joint_unit` (additive capability — a mixed or
-        // legacy fleet falls through to whole-candidate shards).
-        if self.overlap
-            && self
-                .workers
-                .iter()
-                .any(|w| w.alive && w.remote.has_capability(JOINT_UNIT_CAPABILITY))
-        {
-            return self.step_joint_units(engine, model, accuracy, state);
+        if state.is_done() {
+            return false;
         }
+        let started = std::time::Instant::now();
+        self.generation = state.iteration;
+        self.try_rejoin();
+        let unit_workers = (0..self.workers.len())
+            .filter(|&w| self.eligible(w, Some(JOINT_UNIT_CAPABILITY)))
+            .count();
+        let advanced = if state.config.accel.population < unit_workers {
+            self.step_joint_units(engine, model, accuracy, state)
+        } else {
+            self.step_joint_whole(engine, model, accuracy, state)
+        };
+        if advanced {
+            if let Some(archive) = state.archive() {
+                self.publish_pareto_telemetry(archive);
+            }
+            self.finish_generation(
+                started,
+                state.best().map(|b| b.edp),
+                self.fleet_cache_stats(engine).hit_rate(),
+            );
+        }
+        advanced
+    }
+
+    /// The joint step with whole-candidate shards: each shard carries
+    /// candidates whose entire NAS evolutions run on one worker.
+    fn step_joint_whole(
+        &mut self,
+        engine: &CoSearchEngine,
+        model: &CostModel,
+        accuracy: &AccuracyModel,
+        state: &mut JointSearchState,
+    ) -> bool {
         let cfg = state.config;
         let iteration = state.iteration;
-        self.generation = iteration;
-        let started = std::time::Instant::now();
-        let advanced = joint_search_step_with(state, |slots| {
-            self.try_rejoin();
+        joint_search_step_with(state, |slots| {
             let build = |range: Range<usize>| -> Vec<(String, Value)> {
                 let candidates: Vec<Accelerator> = slots[range.clone()]
                     .iter()
@@ -925,21 +676,8 @@ impl DistributedCoordinator {
                 &build,
                 &parse_joint_shard_reply,
                 &mut fallback,
-                None,
             )
-            .0
-        });
-        if advanced {
-            if let Some(archive) = state.archive() {
-                self.publish_pareto_telemetry(archive);
-            }
-            self.finish_generation(
-                started,
-                state.best().map(|b| b.edp),
-                self.fleet_cache_stats(engine).hit_rate(),
-            );
-        }
-        advanced
+        })
     }
 
     /// The joint step with sub-candidate sharding: each candidate's NAS
@@ -950,8 +688,8 @@ impl DistributedCoordinator {
     /// of one subnet on one candidate. A 4-candidate generation thus
     /// saturates a 16-worker fleet instead of pinning 4 workers.
     ///
-    /// Bit-identity with [`DistributedCoordinator::step_joint`]'s
-    /// whole-candidate path holds by construction: the driver consumes
+    /// Bit-identity with the whole-candidate path
+    /// (`step_joint_whole`) holds by construction: the driver consumes
     /// the NAS RNG exactly as `search_subnet` does, every unit result is
     /// the same pure function (`network_mapping_search_memo` with
     /// content-derived seeds) a worker running the whole evolution would
@@ -965,13 +703,10 @@ impl DistributedCoordinator {
         state: &mut JointSearchState,
     ) -> bool {
         let cfg = state.config;
-        let started = std::time::Instant::now();
         let Some(sampled) = joint_sample_generation(state) else {
             return false;
         };
         let iteration = sampled.iteration;
-        self.generation = iteration;
-        self.try_rejoin();
 
         // One driver per decoded candidate, seeded exactly as the
         // whole-candidate path seeds its remote evolutions.
@@ -1062,19 +797,19 @@ impl DistributedCoordinator {
                         },
                     )
                 };
-                let (results, _) = self.evaluate_sharded(
+                let results = self.evaluate_sharded(
                     units.len(),
                     Some(JOINT_UNIT_CAPABILITY),
                     &build,
                     &parse_joint_unit_reply,
                     &mut fallback,
-                    None,
                 );
                 let merged_units = results.len() as u64;
                 for ((ci, subnet), result) in units.iter().zip(results) {
                     memo[*ci].push((*subnet, result));
                 }
-                self.overlap_stats.joint_units += merged_units;
+                self.stats_last.joint_units += merged_units;
+                self.stats_total.joint_units += merged_units;
                 telemetry::metrics()
                     .coordinator
                     .joint_units
@@ -1129,15 +864,6 @@ impl DistributedCoordinator {
             })
             .collect();
         joint_commit_generation(state, sampled, outcomes);
-
-        if let Some(archive) = state.archive() {
-            self.publish_pareto_telemetry(archive);
-        }
-        self.finish_generation(
-            started,
-            state.best().map(|b| b.edp),
-            self.fleet_cache_stats(engine).hit_rate(),
-        );
         true
     }
 
@@ -1338,19 +1064,17 @@ impl DistributedCoordinator {
     /// on the coordinator's own engine for work no worker could finish.
     /// Results are merged in candidate order — the property that makes
     /// distribution invisible in the trajectory.
-    fn evaluate_sharded<T: Send + Clone>(
+    fn evaluate_sharded<T: Send>(
         &mut self,
         n: usize,
         capability: Option<&str>,
         build: &BuildShard<'_>,
         parse: &ParseShard<T>,
         fallback: &mut LocalFallback<'_, T>,
-        spec: Option<&SpecHook<'_, T>>,
-    ) -> (Vec<T>, Option<SpecOutcome<T>>) {
+    ) -> Vec<T> {
         self.stats_last = SchedulerStats::default();
         let mut merged: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut leftovers: Vec<Range<usize>> = Vec::new();
-        let mut spec_outcome = None;
 
         let live: Vec<usize> = (0..self.workers.len())
             .filter(|&w| self.eligible(w, capability))
@@ -1358,13 +1082,11 @@ impl DistributedCoordinator {
         if live.is_empty() {
             // No worker can take this mode's shards (fleet dead, or no
             // capability match): everything goes to the fallback path.
-            // Speculation needs an idle fleet, so none happens either.
             if n > 0 {
                 leftovers.push(0..n);
             }
         } else if n > 0 {
-            spec_outcome =
-                self.run_scheduler(n, &live, build, parse, &mut merged, &mut leftovers, spec);
+            self.run_scheduler(n, &live, build, parse, &mut merged, &mut leftovers);
         }
 
         // Evaluate locally whatever the fleet could not finish: orderly
@@ -1387,11 +1109,10 @@ impl DistributedCoordinator {
                 merged[slot] = Some(result);
             }
         }
-        let results = merged
+        merged
             .into_iter()
             .map(|r| r.expect("every candidate slot is covered by exactly one shard"))
-            .collect();
-        (results, spec_outcome)
+            .collect()
     }
 
     /// Runs one generation's micro-shard scheduler over the `live`
@@ -1401,8 +1122,7 @@ impl DistributedCoordinator {
     /// updates, deaths/rejections, telemetry — back onto `self`.
     /// Un-finished ranges are appended to `leftovers` for the caller's
     /// local fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scheduler<T: Send + Clone>(
+    fn run_scheduler<T: Send>(
         &mut self,
         n: usize,
         live: &[usize],
@@ -1410,69 +1130,39 @@ impl DistributedCoordinator {
         parse: &ParseShard<T>,
         merged: &mut Vec<Option<T>>,
         leftovers: &mut Vec<Range<usize>>,
-        spec: Option<&SpecHook<'_, T>>,
-    ) -> Option<SpecOutcome<T>> {
-        let dynamic = self.microshards > 0;
-        let per_worker = if dynamic { self.microshards } else { 1 };
-        // Static mode ignores the EWMA: equal shards, like the
-        // pre-scheduler dispatch it exists to baseline against.
-        let live_rates: Vec<Option<f64>> = if dynamic {
-            live.iter().map(|&w| self.rates[w]).collect()
-        } else {
-            vec![None; live.len()]
-        };
-        let base_chunk = n.div_ceil(live.len() * per_worker).max(1);
+    ) {
+        let live_rates: Vec<Option<f64>> = live.iter().map(|&w| self.rates[w]).collect();
+        let base_chunk = n.div_ceil(live.len() * self.microshards).max(1);
 
         let worker_count = self.workers.len();
         let mut queues: Vec<VecDeque<Range<usize>>> =
             (0..worker_count).map(|_| VecDeque::new()).collect();
-        // Primary work is planned identically with or without the
-        // reactor — per-worker queues, EWMA-sized in dynamic mode, with
-        // stealing and overdue re-issue on top. The speculation trigger
-        // is `next_work` running out of *everything* (queue, pool,
-        // steal victims, overdue flights): that exhaustion event is the
-        // generation's tail beginning, and only then does the reactor
-        // fire the ask and start handing out `spec_pool` ranges.
-        let pool: VecDeque<Range<usize>> = VecDeque::new();
         let mut active = vec![false; worker_count];
-        {
-            let blocks = microshard_plan(n, &live_rates, per_worker);
-            for (i, &w) in live.iter().enumerate() {
-                queues[w] = blocks[i].iter().cloned().collect();
-                active[w] = true;
-            }
+        let blocks = microshard_plan(n, &live_rates, self.microshards);
+        for (i, &w) in live.iter().enumerate() {
+            queues[w] = blocks[i].iter().cloned().collect();
+            active[w] = true;
         }
         let sched = Mutex::new(Sched {
             queues,
-            pool,
-            spec_pool: VecDeque::new(),
+            pool: VecDeque::new(),
             flights: Vec::new(),
             local: Vec::new(),
             active,
             rates: self.rates.clone(),
             base_chunk,
-            n_primary: n,
             stats: SchedulerStats::default(),
-        });
-        let spec_shared = spec.map(|hook| SpecShared {
-            hook,
-            job: OnceLock::new(),
-            claimed: AtomicBool::new(false),
-            installed: AtomicBool::new(false),
-            installed_at: Mutex::new(None),
         });
         let merge = Mutex::new(std::mem::take(merged));
         let cfg = SchedCfg {
             tick: SCHED_TICK,
             deadline: self.steal_deadline,
-            dynamic,
         };
 
         let mut ends: Vec<WorkerEnd> = Vec::new();
         std::thread::scope(|scope| {
             let sched = &sched;
             let merge = &merge;
-            let spec_shared = spec_shared.as_ref();
             let mut handles = Vec::new();
             for (widx, slot) in self.workers.iter_mut().enumerate() {
                 if !live.contains(&widx) {
@@ -1481,17 +1171,7 @@ impl DistributedCoordinator {
                 let rate_known = self.rates[widx].is_some();
                 let remote = &mut slot.remote;
                 handles.push(scope.spawn(move || {
-                    worker_loop(
-                        remote,
-                        widx,
-                        rate_known,
-                        cfg,
-                        sched,
-                        merge,
-                        build,
-                        parse,
-                        spec_shared,
-                    )
+                    worker_loop(remote, widx, rate_known, cfg, sched, merge, build, parse)
                 }));
             }
             for handle in handles {
@@ -1501,23 +1181,6 @@ impl DistributedCoordinator {
 
         let mut sched = sched.into_inner().unwrap_or_else(|p| p.into_inner());
         *merged = merge.into_inner().unwrap_or_else(|p| p.into_inner());
-        // Split the speculative tail off the merge domain: the caller's
-        // primary results stay exactly `n` slots, the tail (with `None`
-        // for whatever the fleet never reached) becomes the outcome of
-        // the speculative ask.
-        let spec_outcome = spec_shared.and_then(|shared| {
-            if !shared.installed.load(Ordering::Acquire) {
-                return None;
-            }
-            let results = merged.split_off(n);
-            let overlap_ms = (*sched_lock(&shared.installed_at))
-                .map(|t| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
-            Some(SpecOutcome {
-                results,
-                overlap_ms,
-            })
-        });
         // Per-worker post-mortem: busy-share gauges, EWMA feed, cache
         // counters, deaths and rejections (with the same operator-facing
         // events the blocking dispatcher emitted).
@@ -1529,12 +1192,10 @@ impl DistributedCoordinator {
             if slowest.as_ref().is_none_or(|(_, m)| end.busy_us > *m) {
                 slowest = Some((addr.clone(), end.busy_us));
             }
-            // Capped: speculative completions can push a worker past
-            // its share of the primary generation.
             coordinator
                 .worker_share
                 .get(&addr)
-                .set((end.completed.saturating_mul(1000) / n as u64).min(1000));
+                .set(end.completed.saturating_mul(1000) / n as u64);
             if end.completed > 0 {
                 let measured = end.busy_us as f64 / end.completed as f64;
                 self.rates[end.widx] = Some(match self.rates[end.widx] {
@@ -1624,11 +1285,6 @@ impl DistributedCoordinator {
                 leftovers.push(flight.range.clone());
             }
         }
-        // Speculative ranges never reach the local fallback: the bet is
-        // strictly opportunistic, and un-evaluated spec slots simply
-        // stay `None` in the banked results.
-        leftovers.retain(|r| r.start < n);
-        spec_outcome
     }
 
     /// Whether worker `widx` can take a shard: alive, and advertising
@@ -1682,42 +1338,6 @@ impl SharedCoordinator {
             .step_with_scenario(scenario_value, engine, model, networks, state)
     }
 
-    /// [`SharedCoordinator::step_accel`] with an explicit speculation
-    /// key ([`DistributedCoordinator::step_with_scenario_keyed`]) — the
-    /// gateway keys by job id so interleaved tenants never consume each
-    /// other's speculative forks.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_accel_keyed(
-        &self,
-        key: u64,
-        scenario_value: Value,
-        engine: &CoSearchEngine,
-        model: &CostModel,
-        networks: &[Network],
-        state: &mut AccelSearchState,
-    ) -> bool {
-        self.lock()
-            .step_with_scenario_keyed(key, scenario_value, engine, model, networks, state)
-    }
-
-    /// Switches the overlap reactor on or off for subsequent steps
-    /// ([`DistributedCoordinator::set_overlap`]).
-    pub fn set_overlap(&self, overlap: bool) {
-        self.lock().set_overlap(overlap);
-    }
-
-    /// Bounds the per-key speculation bank
-    /// ([`DistributedCoordinator::set_spec_capacity`]).
-    pub fn set_spec_capacity(&self, capacity: usize) {
-        self.lock().set_spec_capacity(capacity);
-    }
-
-    /// Overlap reactor counters accumulated since the coordinator
-    /// connected.
-    pub fn overlap_stats(&self) -> OverlapStats {
-        self.lock().overlap_stats()
-    }
-
     /// One joint-search generation on the shared fleet
     /// ([`DistributedCoordinator::step_joint`]).
     pub fn step_joint(
@@ -1769,9 +1389,6 @@ struct SchedCfg {
     tick: Duration,
     /// Age past which an in-flight shard is speculatively re-issued.
     deadline: Duration,
-    /// `false` = static mode: no stealing, no speculation, no
-    /// pipelining (pool pickup of orphaned work still happens).
-    dynamic: bool,
 }
 
 /// One issued micro-shard: a contiguous candidate range with up to two
@@ -1813,10 +1430,6 @@ struct Sched {
     /// Orphaned ranges any worker may take (ungated: orphan work must
     /// finish even if only slow workers remain).
     pool: VecDeque<Range<usize>>,
-    /// Speculative ranges (slots `>= n_primary`): strictly lowest
-    /// priority, handed out only while primary work is unresolved, and
-    /// abandoned — never re-routed — on any failure.
-    spec_pool: VecDeque<Range<usize>>,
     flights: Vec<Flight>,
     /// Ranges destined for the coordinator's local fallback.
     local: Vec<Range<usize>>,
@@ -1826,39 +1439,16 @@ struct Sched {
     rates: Vec<Option<f64>>,
     /// The fair chunk size stolen tails are re-split down to.
     base_chunk: usize,
-    /// Slots below this index are the real generation; at or above,
-    /// speculative work from an installed [`SpecJob`].
-    n_primary: usize,
     stats: SchedulerStats,
 }
 
 impl Sched {
     /// Every slot resolved: nothing queued or pooled, and every issued
-    /// flight answered. Issued speculative shards count — each is a
-    /// single unit taken by a fast worker during an otherwise-idle tail
-    /// cycle, so the residual stretch is bounded by one pipeline depth
-    /// of units, and abandoning it would waste both the compute already
-    /// spent and the connection it rode on. The un-issued `spec_pool`
-    /// never holds the generation open, and a failed spec copy is
-    /// dropped by [`Sched::fail_copy`] rather than re-routed, so a dead
-    /// worker cannot hang the barrier on a bet.
+    /// flight answered.
     fn done(&self) -> bool {
         self.pool.is_empty()
             && self.queues.iter().all(|q| q.is_empty())
             && self.flights.iter().all(|f| f.done)
-    }
-
-    /// Whether any *primary* slot is still unresolved — queued, pooled,
-    /// or in a live flight. Once this goes false the generation's
-    /// barrier is effectively closed and no new speculative shard may
-    /// be issued (its reply could never arrive before the commit).
-    fn primary_unresolved(&self) -> bool {
-        !self.pool.is_empty()
-            || self.queues.iter().any(|q| !q.is_empty())
-            || self
-                .flights
-                .iter()
-                .any(|f| !f.done && f.range.start < self.n_primary)
     }
 
     /// Takes worker `widx` out of the generation and hands its
@@ -1880,12 +1470,6 @@ impl Sched {
         if flight.failed >= flight.issues {
             flight.done = true;
             let range = flight.range.clone();
-            // A failed speculative copy is dropped outright: re-routing
-            // would make the primary generation wait on a bet, and the
-            // banked ask tolerates `None` slots by construction.
-            if range.start >= self.n_primary {
-                return;
-            }
             self.stats.reissues += 1;
             match reroute {
                 Reroute::Pool => self.pool.push_back(range),
@@ -1911,8 +1495,8 @@ impl Sched {
     }
 
     /// Picks the next shard for worker `widx`: own queue, then the
-    /// shared pool, then (dynamic mode only) stealing a straggler's
-    /// un-issued tail, then speculative re-issue of an overdue flight.
+    /// shared pool, then stealing a straggler's un-issued tail, then
+    /// speculative re-issue of an overdue flight.
     /// `mine` is the set of flight ids `widx` already has in the air —
     /// a worker never speculates against itself.
     fn next_work(
@@ -1926,9 +1510,6 @@ impl Sched {
         }
         if let Some(range) = self.pool.pop_front() {
             return Some(self.issue(range, widx));
-        }
-        if !cfg.dynamic {
-            return self.next_spec(widx);
         }
         // Gate: a known-slow worker (over 2× the best live rate) must
         // not vacuum work from faster ones — idle slow beats busy slow
@@ -1981,37 +1562,10 @@ impl Sched {
                         })
             })
             .map(|(fid, f)| (fid, f.range.clone()));
-        if let Some((fid, range)) = overdue {
-            self.flights[fid].issues += 1;
-            self.stats.speculations += 1;
-            return Some((fid, range));
-        }
-        self.next_spec(widx)
-    }
-
-    /// Last resort: speculative next-generation work, only while the
-    /// primary generation could still benefit from the overlap, and
-    /// only for workers not known to be slow — an issued spec unit is
-    /// waited for at the barrier, so handing one to a straggler would
-    /// stretch the close by exactly the rate gap the reactor exists to
-    /// hide.
-    fn next_spec(&mut self, widx: usize) -> Option<(usize, Range<usize>)> {
-        let best = self
-            .rates
-            .iter()
-            .enumerate()
-            .filter(|(w, _)| self.active[*w])
-            .filter_map(|(_, r)| *r)
-            .fold(f64::INFINITY, f64::min);
-        if matches!(self.rates[widx], Some(r) if best.is_finite() && r > 2.0 * best) {
-            return None;
-        }
-        if self.primary_unresolved() {
-            if let Some(range) = self.spec_pool.pop_front() {
-                return Some(self.issue(range, widx));
-            }
-        }
-        None
+        let (fid, range) = overdue?;
+        self.flights[fid].issues += 1;
+        self.stats.speculations += 1;
+        Some((fid, range))
     }
 }
 
@@ -2057,7 +1611,7 @@ fn sched_lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// it ended. Never touches the coordinator — deaths, events and EWMA
 /// updates are applied post-scope from the returned [`WorkerEnd`].
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<T: Send + Clone>(
+fn worker_loop<T: Send>(
     remote: &mut RemoteWorker,
     widx: usize,
     rate_known: bool,
@@ -2066,7 +1620,6 @@ fn worker_loop<T: Send + Clone>(
     merge: &Mutex<Vec<Option<T>>>,
     build: &BuildShard<'_>,
     parse: &ParseShard<T>,
-    spec: Option<&SpecShared<'_, T>>,
 ) -> WorkerEnd {
     let mut end = WorkerEnd {
         widx,
@@ -2076,13 +1629,12 @@ fn worker_loop<T: Send + Clone>(
         completed: 0,
         busy_us: 0,
     };
-    let n_primary = sched_lock(sched).n_primary;
     // Request id → flight id for this worker's in-flight requests.
     let mut my_flights: HashMap<u64, usize> = HashMap::new();
     let mut busy_start: Option<Instant> = None;
     // Send-ahead depth: 2 once this worker's rate is known, 1 before
-    // (don't over-commit to an unmeasured worker), 1 in static mode.
-    let depth = if cfg.dynamic && rate_known { 2 } else { 1 };
+    // (don't over-commit to an unmeasured worker).
+    let depth = if rate_known { 2 } else { 1 };
 
     'run: loop {
         // ---- death cleanup (entered via `continue 'run` below) ----
@@ -2190,7 +1742,7 @@ fn worker_loop<T: Send + Clone>(
         // ---- keep the pipeline full ----
         let mut progressed = false;
         while remote.pending() < depth {
-            let mut work = {
+            let work = {
                 let mut s = sched_lock(sched);
                 if s.active[widx] {
                     let mine: HashSet<usize> = my_flights.values().copied().collect();
@@ -2199,26 +1751,8 @@ fn worker_loop<T: Send + Clone>(
                     None
                 }
             };
-            // Nothing to do is the reactor's speculation event: the
-            // first thread to hit it fires the speculative ask, then
-            // re-polls for the freshly installed spec ranges.
-            if work.is_none() && try_install_spec(sched, merge, spec, n_primary) {
-                let mut s = sched_lock(sched);
-                if s.active[widx] {
-                    let mine: HashSet<usize> = my_flights.values().copied().collect();
-                    work = s.next_work(widx, &mine, cfg);
-                }
-            }
             let Some((fid, range)) = work else { break };
-            let params = if range.start >= n_primary {
-                let job = spec
-                    .and_then(|s| s.job.get())
-                    .expect("a speculative range implies an installed job");
-                (job.build)(range.start - n_primary..range.end - n_primary)
-            } else {
-                build(range)
-            };
-            match remote.send("evaluate_shard", params) {
+            match remote.send("evaluate_shard", build(range)) {
                 Ok(id) => {
                     progressed = true;
                     if busy_start.is_none() {
@@ -2247,7 +1781,7 @@ fn worker_loop<T: Send + Clone>(
                 break 'run;
             }
             // Nothing in flight and nothing to take yet: idle a beat so
-            // stealable or speculatable work can appear.
+            // stealable or overdue work can appear.
             if !progressed {
                 std::thread::sleep(cfg.tick);
             }
@@ -2276,72 +1810,6 @@ fn worker_loop<T: Send + Clone>(
         }
     }
     end
-}
-
-/// Fires the speculative ask if this thread is the first to find no
-/// primary work left to take: snapshots the primary results merged so
-/// far, hands them to the hook (which forks the optimizer state,
-/// predicts the commit and samples the next generation), and installs
-/// the returned job's ranges as lowest-priority work. Returns `true`
-/// when spec work was installed just now — the caller should re-poll
-/// the scheduler.
-///
-/// The claim is one-shot per generation once a job installs: firing
-/// again after more primary results land would sample a *different*
-/// fork and the two could not both be banked. A *declined* ask (hook
-/// returned `None`) releases the claim, so later idle events retry
-/// against a fuller merge.
-fn try_install_spec<T: Send + Clone>(
-    sched: &Mutex<Sched>,
-    merge: &Mutex<Vec<Option<T>>>,
-    spec: Option<&SpecShared<'_, T>>,
-    n_primary: usize,
-) -> bool {
-    let Some(shared) = spec else {
-        return false;
-    };
-    if shared.claimed.swap(true, Ordering::AcqRel) {
-        return false;
-    }
-    // Fully resolved already (tiny generation, instant fleet): there is
-    // no idle window left for the overlap to fill.
-    if sched_lock(sched).done() {
-        return false;
-    }
-    let snapshot: Vec<Option<T>> = sched_lock(merge)[..n_primary].to_vec();
-    let Some(job) = (shared.hook)(&snapshot) else {
-        // The hook declined (e.g. the merge is not resolved enough to
-        // fork from yet): nothing was sampled, so release the claim and
-        // let a later idle event retry with a fuller snapshot.
-        shared.claimed.store(false, Ordering::Release);
-        return false;
-    };
-    let count = job.count;
-    if count == 0 {
-        return false;
-    }
-    if shared.job.set(job).is_err() {
-        unreachable!("the claimed gate admits exactly one installer");
-    }
-    // Order matters: extend the merge domain, then publish the ranges,
-    // then flip `installed` — a spec range can only be issued after its
-    // merge slot and its builder exist.
-    sched_lock(merge).extend((0..count).map(|_| None));
-    *sched_lock(&shared.installed_at) = Some(Instant::now());
-    {
-        // Single-unit spec shards, deliberately finer than the primary
-        // chunking: a spec shard in a worker's pipeline delays any
-        // primary re-issue that lands behind it, and an issued spec
-        // shard is waited for at the barrier — both costs scale with
-        // shard size, and the tail the reactor fills is exactly when
-        // per-shard RPC overhead is cheapest to afford.
-        let mut s = sched_lock(sched);
-        for u in 0..count {
-            s.spec_pool.push_back(n_primary + u..n_primary + u + 1);
-        }
-    }
-    shared.installed.store(true, Ordering::Release);
-    true
 }
 
 /// Plans one generation's per-worker micro-shard queues: `n` candidates
@@ -2781,12 +2249,14 @@ mod tests {
             speculations: 2,
             duplicate_replies: 1,
             reissues: 0,
+            joint_units: 5,
         };
         total.accumulate(gen);
         total.accumulate(gen);
         assert_eq!(total.steals, 6);
         assert_eq!(total.microshards, 24);
         assert_eq!(total.duplicate_replies, 2);
+        assert_eq!(total.joint_units, 10);
     }
 
     #[test]

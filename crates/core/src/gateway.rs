@@ -794,12 +794,7 @@ impl GatewayCore {
         let engine = self.inner.engine();
         match state {
             JobState::Accel(state) => match &self.fleet {
-                // Keyed by job id: with the overlap reactor on, each
-                // job's speculative fork lives in its own bank slot, so
-                // interleaved tenants never consume (or invalidate)
-                // each other's speculation.
-                Some(fleet) => fleet.step_accel_keyed(
-                    ctx.job_id,
+                Some(fleet) => fleet.step_accel(
                     ctx.scenario_value.clone(),
                     engine,
                     &self.model,

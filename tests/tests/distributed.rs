@@ -1058,12 +1058,13 @@ fn legacy_worker_reply_with_cache_delta_still_parses() {
 }
 
 /// Scheduler-flag validation is a parse-time contract: the exact
-/// refusals the CLI prints for a zero steal deadline and for more
-/// micro-shards than candidates are pinned here, so `naas_search`
-/// keeps rejecting these before any worker is dialed.
+/// refusals the CLI prints for a zero steal deadline, for the removed
+/// static plan (`--microshards 0`) and for more micro-shards than
+/// candidates are pinned here, so `naas_search` keeps rejecting these
+/// before any worker is dialed.
 #[test]
 fn scheduler_flag_validation_rejects_degenerate_plans() {
-    let err = naas::validate_scheduler_flags(6, 0, 10)
+    let err = naas::validate_scheduler_flags(Some(6), 0, 10)
         .expect_err("a zero steal deadline must be refused");
     assert!(
         err.contains("--steal-deadline must be at least 1 ms"),
@@ -1074,7 +1075,14 @@ fn scheduler_flag_validation_rejects_degenerate_plans() {
         "the refusal must say why: got {err}"
     );
 
-    let err = naas::validate_scheduler_flags(11, 500, 10)
+    let err = naas::validate_scheduler_flags(Some(0), 500, 10)
+        .expect_err("the removed static plan must be refused");
+    assert!(
+        err.contains("--microshards 0") && err.contains("static") && err.contains("removed"),
+        "the refusal must say the static plan was removed: got {err}"
+    );
+
+    let err = naas::validate_scheduler_flags(Some(11), 500, 10)
         .expect_err("more micro-shards than candidates must be refused");
     assert!(
         err.contains("--microshards 11 exceeds the population size 10"),
@@ -1082,8 +1090,8 @@ fn scheduler_flag_validation_rejects_degenerate_plans() {
     );
     assert!(err.contains("at most one per candidate"), "got {err}");
 
-    // The boundary cases stay legal: unset shards (0 means "default"),
-    // the minimum deadline, and exactly one shard per candidate.
-    naas::validate_scheduler_flags(0, 1, 1).expect("defaults are valid");
-    naas::validate_scheduler_flags(10, 500, 10).expect("one shard per candidate is valid");
+    // The boundary cases stay legal: unset shards (the default), the
+    // minimum deadline, and exactly one shard per candidate.
+    naas::validate_scheduler_flags(None, 1, 1).expect("defaults are valid");
+    naas::validate_scheduler_flags(Some(10), 500, 10).expect("one shard per candidate is valid");
 }

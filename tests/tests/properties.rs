@@ -248,11 +248,12 @@ proptest! {
     }
 }
 
-/// Reactor seam invariants: the sample/commit decomposition the overlap
-/// coordinator speculates through must be exactly-once, refuse stale or
-/// mismatched commits, and replay deterministically — the properties
-/// that make a banked speculation safe to commit and a rolled-back one
-/// impossible to merge twice. Engine-backed, so fewer cases.
+/// Sample/commit seam invariants: the decomposition of
+/// `accel_search_step` into `accel_sample_generation` and
+/// `accel_commit_generation` (public, and driven directly by callers
+/// that time or relocate the evaluation between the two) must be
+/// exactly-once, refuse stale or mismatched commits, and replay
+/// deterministically. Engine-backed, so fewer cases.
 mod reactor_seam {
     use super::*;
     use naas::{
@@ -318,7 +319,7 @@ mod reactor_seam {
         /// before the state advanced, a second commit of an
         /// already-committed generation, and a result vector of the
         /// wrong arity are all refused loudly — the seam cannot be
-        /// tricked into merging a speculation twice or early.
+        /// tricked into merging a generation twice or early.
         #[test]
         fn stale_double_or_mismatched_commits_are_refused(seed in 0u64..1_000) {
             let (constraint, networks) = fixture();
@@ -326,8 +327,8 @@ mod reactor_seam {
             let cfg = seam_cfg(seed);
             let mut state = accel_search_init(&constraint, &cfg, &[]);
 
-            // A fork's sample of generation 0 (determinism makes it
-            // equal to the real one — that is the bank-hit criterion).
+            // A clone's sample of generation 0 (determinism makes it
+            // equal to the real one).
             let mut fork = state.clone();
             let stale = accel_sample_generation(&mut fork).expect("fresh search samples");
 
@@ -346,8 +347,7 @@ mod reactor_seam {
             // The real commit — infeasible everywhere is a legal result.
             accel_commit_generation(&mut state, sampled, vec![None; n]);
 
-            // Committing the stale generation again (the
-            // rolled-back-speculation-merged-twice shape): refused.
+            // Committing the stale generation again: refused.
             let mut advanced = state.clone();
             let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 accel_commit_generation(&mut advanced, stale, vec![None; n]);
@@ -355,10 +355,9 @@ mod reactor_seam {
             prop_assert!(double.is_err(), "a stale generation must not commit twice");
         }
 
-        /// The bank-hit criterion is sound: two states fed identical
-        /// commits stay equal and draw identical next samples — so a
-        /// speculation whose forked sample matches the real one has, by
-        /// construction, evaluated exactly the real generation.
+        /// Replay is deterministic: two states fed identical commits
+        /// stay equal and draw identical next samples, so equal
+        /// samples always mean equal generations.
         #[test]
         fn equal_commits_replay_to_equal_forks(seed in 0u64..1_000) {
             let (constraint, networks) = fixture();

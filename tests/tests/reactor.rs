@@ -1,19 +1,15 @@
-//! Reactor conformance suite: the barrier-free overlap coordinator
-//! (`--overlap on`) must be **bit-identical** to the barrier scheduler
-//! — which is in turn bit-identical to the single-process search — at
-//! any completion order, under kill/restart, across accel, joint and
-//! pareto modes. Overlap may only change wall time and counters, never
-//! one bit of the trajectory.
-//!
-//! The accounting invariant checked throughout: `asks == hits +
-//! rollbacks` once a run completes — every speculative generation is
-//! either committed (its forked sample matched the real one) or rolled
-//! back, never both and never silently dropped.
+//! Scheduler conformance suite: the micro-shard scheduler, driven
+//! through adversarial completion orders (heterogeneous worker delays,
+//! tiny chunks, a 2 ms steal deadline), must stay **bit-identical** to
+//! the single-process search under kill/restart, across accel, joint
+//! (whole-candidate and `joint_unit` shards) and pareto modes.
+//! Scheduling may only change wall time and counters, never one bit of
+//! the trajectory.
 
 use naas::service::{BatchEvalService, ServiceConfig, ServiceServer};
 use naas::{
     accel_search_init, AccelSearchConfig, CoSearchEngine, DistributedCoordinator,
-    MappingSearchConfig, OverlapStats,
+    MappingSearchConfig,
 };
 use naas_cost::CostModel;
 use naas_engine::scenario;
@@ -125,9 +121,10 @@ fn search_cfg(seed: u64) -> AccelSearchConfig {
 /// the RNG-equivalence currency: two states are `==` only if the
 /// optimizer distributions, decoded populations, histories, archives
 /// and iteration counters all match, i.e. the RNG streams were
-/// consumed identically. `cache_stats` is zeroed first: speculative
-/// evaluations legitimately warm caches differently, and the paper's
-/// invariant is about the trajectory, not the memo hit rate.
+/// consumed identically. `cache_stats` is zeroed first: where shards
+/// land (and re-issued duplicates) legitimately warm caches
+/// differently, and the paper's invariant is about the trajectory, not
+/// the memo hit rate.
 fn run_local_state(cfg: &AccelSearchConfig, networks: &[Network]) -> naas::AccelSearchState {
     let scenario = scenario::find("cifar-eyeriss").unwrap();
     let job = scenario.resolve().unwrap();
@@ -139,8 +136,7 @@ fn run_local_state(cfg: &AccelSearchConfig, networks: &[Network]) -> naas::Accel
     state
 }
 
-/// [`run_local_state`] over a coordinator (barrier or overlap,
-/// whatever it was configured for).
+/// [`run_local_state`] over a coordinator.
 fn run_distributed_state(
     cfg: &AccelSearchConfig,
     networks: &[Network],
@@ -156,20 +152,10 @@ fn run_distributed_state(
     state
 }
 
-/// The reactor's books must balance: every speculative ask ends as
-/// exactly one of hit or rollback.
-fn assert_spec_accounting(stats: OverlapStats, context: &str) {
-    assert_eq!(
-        stats.asks,
-        stats.hits + stats.rollbacks,
-        "{context}: every ask must resolve to a hit or a rollback, got {stats:?}"
-    );
-}
-
-/// Connects an overlap coordinator over `addrs` with the aggressive
-/// scheduling the conformance suite uses to force adversarial
-/// interleavings (tiny chunks, 2 ms steal deadline).
-fn overlap_coordinator(
+/// Connects a coordinator over `addrs` with the aggressive scheduling
+/// the conformance suite uses to force adversarial interleavings (tiny
+/// chunks, 2 ms steal deadline).
+fn adversarial_coordinator(
     addrs: &[String],
     scenario: &naas_engine::Scenario,
 ) -> DistributedCoordinator {
@@ -177,17 +163,14 @@ fn overlap_coordinator(
         DistributedCoordinator::connect(addrs, scenario).expect("fleet reachable");
     coordinator.set_microshards(5);
     coordinator.set_steal_deadline(std::time::Duration::from_millis(2));
-    coordinator.set_overlap(true);
     coordinator
 }
 
-/// The tentpole acceptance criterion, permutation-fuzzed: heterogeneous
-/// per-worker delays drive the overlap reactor through adversarial
-/// completion orders — pool self-scheduling, steals, speculative
-/// re-issue, spec installs racing the straggler — across seeds, and
+/// Permutation-fuzzed bit-identity: heterogeneous per-worker delays
+/// drive the scheduler through adversarial completion orders — queue
+/// self-scheduling, steals, speculative re-issue — across seeds, and
 /// the *full final state* must equal the single-process one in every
-/// ordering. Equal states mean equal RNG streams: the speculative fork
-/// never leaked a single draw into the real trajectory.
+/// ordering. Equal states mean equal RNG streams.
 #[test]
 fn overlap_search_is_bit_identical_across_adversarial_orders() {
     let (scenario, networks) = scenario_fixture();
@@ -203,68 +186,48 @@ fn overlap_search_is_bit_identical_across_adversarial_orders() {
             spawn_worker(1, delays[0]).to_string(),
             spawn_worker(1, delays[1]).to_string(),
         ];
-        let mut coordinator = overlap_coordinator(&addrs, &scenario);
-        let overlapped = run_distributed_state(&cfg, &networks, &mut coordinator);
+        let mut coordinator = adversarial_coordinator(&addrs, &scenario);
+        let distributed = run_distributed_state(&cfg, &networks, &mut coordinator);
 
         assert_eq!(
-            overlapped, local,
-            "seed {seed}, delays {delays:?}: overlap must not change one bit of the state"
-        );
-        assert_spec_accounting(
-            coordinator.overlap_stats(),
-            &format!("seed {seed}, delays {delays:?}"),
+            distributed, local,
+            "seed {seed}, delays {delays:?}: scheduling must not change one bit of the state"
         );
     }
 }
 
-/// The barrier path is the oracle: the same fleet stepped once with
-/// overlap off and once with overlap on produces equal full states —
-/// and a straggler workload must actually exercise the reactor
-/// (`asks > 0`), not vacuously pass because speculation never fired.
+/// A 20 ms/candidate straggler next to an idle fast worker: the
+/// micro-shard barrier must match the single-process state, and the
+/// fast worker must actually speculate — re-issue the straggler's
+/// overdue shards past the steal deadline — so the first-answer-wins
+/// path is exercised, not vacuously skipped.
 #[test]
 fn overlap_against_a_straggler_matches_barrier_and_actually_speculates() {
     let (scenario, networks) = scenario_fixture();
     let cfg = search_cfg(229);
+    let local = run_local_state(&cfg, &networks);
 
-    let barrier_addrs = vec![
+    let addrs = vec![
         spawn_worker(1, 20_000).to_string(),
         spawn_worker(1, 0).to_string(),
     ];
-    let mut barrier =
-        DistributedCoordinator::connect(&barrier_addrs, &scenario).expect("fleet reachable");
-    barrier.set_microshards(5);
-    barrier.set_steal_deadline(std::time::Duration::from_millis(2));
-    let barrier_state = run_distributed_state(&cfg, &networks, &mut barrier);
-    assert_eq!(
-        barrier.overlap_stats(),
-        OverlapStats::default(),
-        "the barrier path must never speculate"
-    );
-
-    let overlap_addrs = vec![
-        spawn_worker(1, 20_000).to_string(),
-        spawn_worker(1, 0).to_string(),
-    ];
-    let mut coordinator = overlap_coordinator(&overlap_addrs, &scenario);
-    let overlapped = run_distributed_state(&cfg, &networks, &mut coordinator);
+    let mut coordinator = adversarial_coordinator(&addrs, &scenario);
+    let distributed = run_distributed_state(&cfg, &networks, &mut coordinator);
 
     assert_eq!(
-        overlapped, barrier_state,
-        "overlap on vs off over the same fleet shape must be bit-identical"
+        distributed, local,
+        "a straggler fleet must be bit-identical to the single-process search"
     );
-    let stats = coordinator.overlap_stats();
+    let stats = coordinator.scheduler_stats();
     assert!(
-        stats.asks > 0,
-        "a 20 ms/candidate straggler leaves the fast worker idle past the pool drain — \
-         the reactor must have fired, got {stats:?}"
+        stats.speculations > 0,
+        "a 20 ms/candidate straggler against a 2 ms deadline must be re-issued, got {stats:?}"
     );
-    assert_spec_accounting(stats, "straggler workload");
 }
 
-/// Kill/restart under overlap: a worker crashing mid-run — possibly
-/// holding speculative flights, which are dropped, never re-routed —
-/// and rejoining later must leave the trajectory untouched, with the
-/// rollback counters still balancing the books.
+/// Kill/restart under the adversarial schedule: a worker crashing
+/// mid-run — its in-flight shards re-routed to the survivor — and
+/// rejoining later must leave the trajectory untouched.
 #[test]
 fn overlap_survives_kill_restart_with_balanced_rollback_accounting() {
     let (scenario, networks) = scenario_fixture();
@@ -279,14 +242,13 @@ fn overlap_survives_kill_restart_with_balanced_rollback_accounting() {
         spawn_restartable_worker(2).to_string(),
         spawn_worker(1, 0).to_string(),
     ];
-    let mut coordinator = overlap_coordinator(&addrs, &scenario);
-    let overlapped = run_distributed_state(&cfg, &networks, &mut coordinator);
+    let mut coordinator = adversarial_coordinator(&addrs, &scenario);
+    let distributed = run_distributed_state(&cfg, &networks, &mut coordinator);
 
     assert_eq!(
-        overlapped, local,
-        "kill/restart under overlap must be bit-identical"
+        distributed, local,
+        "kill/restart under adversarial scheduling must be bit-identical"
     );
-    assert_spec_accounting(coordinator.overlap_stats(), "kill/restart");
     assert_eq!(
         coordinator.live_workers(),
         2,
@@ -294,130 +256,9 @@ fn overlap_survives_kill_restart_with_balanced_rollback_accounting() {
     );
 }
 
-/// Deterministic rollback: two searches interleaved generation-by-
-/// generation on one coordinator share speculation key 0, so every
-/// banked fork is examined next by the *other* search — whose sample
-/// can never match — and must be rolled back. Hits are impossible,
-/// rollbacks equal asks exactly, and both trajectories stay
-/// bit-identical to their solo runs.
-#[test]
-fn interleaved_searches_sharing_a_key_always_roll_back() {
-    let (scenario, networks) = scenario_fixture();
-    let cfg_a = search_cfg(239);
-    let cfg_b = search_cfg(241);
-    let local_a = run_local_state(&cfg_a, &networks);
-    let local_b = run_local_state(&cfg_b, &networks);
-
-    let addrs = vec![
-        spawn_worker(1, 20_000).to_string(),
-        spawn_worker(1, 0).to_string(),
-    ];
-    let mut coordinator = overlap_coordinator(&addrs, &scenario);
-
-    let job = scenario.resolve().unwrap();
-    let engine = CoSearchEngine::new(1);
-    let model = CostModel::new();
-    let mut state_a = accel_search_init(&job.constraint, &cfg_a, &[]);
-    let mut state_b = accel_search_init(&job.constraint, &cfg_b, &[]);
-    let (mut done_a, mut done_b) = (false, false);
-    while !done_a || !done_b {
-        if !done_a {
-            done_a = !coordinator.step(&engine, &model, &networks, &mut state_a);
-        }
-        if !done_b {
-            done_b = !coordinator.step(&engine, &model, &networks, &mut state_b);
-        }
-    }
-    state_a.cache_stats = Default::default();
-    state_b.cache_stats = Default::default();
-
-    assert_eq!(state_a, local_a, "search A corrupted by interleaving");
-    assert_eq!(state_b, local_b, "search B corrupted by interleaving");
-    let stats = coordinator.overlap_stats();
-    assert!(
-        stats.asks > 0,
-        "the straggler must have left room to speculate, got {stats:?}"
-    );
-    assert_eq!(
-        stats.hits, 0,
-        "a fork banked by one search can never match the other's sample, got {stats:?}"
-    );
-    assert_eq!(
-        stats.rollbacks, stats.asks,
-        "every ask must be rolled back under key collision, got {stats:?}"
-    );
-}
-
-/// Keyed speculation with a capacity-1 bank: a keyed search's bank
-/// insert evicts the other key's resident fork, and an evicted ask is
-/// a rollback — the bounded bank degrades to thrashing, never to a
-/// wrong (or unbalanced) result. (A generation whose ask never
-/// installs skips the insert, so the other key's fork may survive and
-/// legitimately hit — thrashing bounds, it doesn't forbid, hits.)
-#[test]
-fn capacity_one_bank_evictions_are_counted_rollbacks() {
-    let (scenario, networks) = scenario_fixture();
-    let cfg_a = search_cfg(251);
-    let cfg_b = search_cfg(257);
-    let local_a = run_local_state(&cfg_a, &networks);
-    let local_b = run_local_state(&cfg_b, &networks);
-
-    let addrs = vec![
-        spawn_worker(1, 20_000).to_string(),
-        spawn_worker(1, 0).to_string(),
-    ];
-    let mut coordinator = overlap_coordinator(&addrs, &scenario);
-    coordinator.set_spec_capacity(1);
-
-    let job = scenario.resolve().unwrap();
-    let scenario_value = serde_json::to_value(&scenario);
-    let engine = CoSearchEngine::new(1);
-    let model = CostModel::new();
-    let mut state_a = accel_search_init(&job.constraint, &cfg_a, &[]);
-    let mut state_b = accel_search_init(&job.constraint, &cfg_b, &[]);
-    let (mut done_a, mut done_b) = (false, false);
-    while !done_a || !done_b {
-        if !done_a {
-            done_a = !coordinator.step_with_scenario_keyed(
-                1,
-                scenario_value.clone(),
-                &engine,
-                &model,
-                &networks,
-                &mut state_a,
-            );
-        }
-        if !done_b {
-            done_b = !coordinator.step_with_scenario_keyed(
-                2,
-                scenario_value.clone(),
-                &engine,
-                &model,
-                &networks,
-                &mut state_b,
-            );
-        }
-    }
-    state_a.cache_stats = Default::default();
-    state_b.cache_stats = Default::default();
-
-    assert_eq!(state_a, local_a, "keyed search A corrupted");
-    assert_eq!(state_b, local_b, "keyed search B corrupted");
-    let stats = coordinator.overlap_stats();
-    assert!(
-        stats.asks > 0,
-        "the straggler must force asks, got {stats:?}"
-    );
-    assert!(
-        stats.rollbacks > 0,
-        "two keys thrashing one bank slot must evict at least once, got {stats:?}"
-    );
-    assert_spec_accounting(stats, "capacity-1 eviction");
-}
-
-/// Pareto mode under overlap: the serialized front — the byte-identity
-/// currency of the multi-objective acceptance criterion — must match
-/// the single-process front exactly, with adversarial delays on top.
+/// Pareto mode under adversarial scheduling: the serialized front —
+/// the byte-identity currency of the multi-objective acceptance
+/// criterion — must match the single-process front exactly.
 #[test]
 fn overlap_pareto_front_stays_byte_identical() {
     let (scenario, networks) = scenario_fixture();
@@ -429,34 +270,35 @@ fn overlap_pareto_front_stays_byte_identical() {
         spawn_worker(1, 1_500).to_string(),
         spawn_worker(1, 0).to_string(),
     ];
-    let mut coordinator = overlap_coordinator(&addrs, &scenario);
-    let overlapped = run_distributed_state(&cfg, &networks, &mut coordinator);
+    let mut coordinator = adversarial_coordinator(&addrs, &scenario);
+    let distributed = run_distributed_state(&cfg, &networks, &mut coordinator);
 
     let front = |state: &naas::AccelSearchState| {
         serde_json::to_string(state.archive().expect("pareto mode keeps an archive"))
             .expect("archive serializes")
     };
     assert_eq!(
-        front(&overlapped),
+        front(&distributed),
         front(&local),
-        "overlap must not reorder a single archive fold"
+        "scheduling must not reorder a single archive fold"
     );
-    assert_eq!(overlapped, local, "full pareto state must match");
-    assert_spec_accounting(coordinator.overlap_stats(), "pareto overlap");
+    assert_eq!(distributed, local, "full pareto state must match");
 }
 
-/// Joint mode under overlap: generations shard below candidate
-/// granularity (`joint_unit` wire mode — one (candidate, subnet) unit
-/// per wave slot, merged by unit index), and the matched (accelerator,
-/// subnet, accuracy, EDP) result is bit-identical to the
-/// single-process joint search. `joint_units > 0` proves the
-/// sub-candidate path actually carried the run.
+/// A joint population below the fleet size (2 candidates on 3
+/// workers): generations shard below candidate granularity
+/// (`joint_unit` wire mode — one (candidate, subnet) unit per wave
+/// slot, merged by unit index), and the matched (accelerator, subnet,
+/// accuracy, EDP) result is bit-identical to the single-process joint
+/// search. `joint_units > 0` proves the sub-candidate path actually
+/// carried the run.
 #[test]
 fn overlap_joint_unit_sharding_matches_single_process() {
     let model = CostModel::new();
     let accuracy = naas_nas::AccuracyModel::default();
     let envelope = naas_accel::ResourceConstraint::from_design(&naas_accel::baselines::eyeriss());
     let mut cfg = naas::JointConfig::quick(269);
+    cfg.accel.population = 2;
     cfg.accel.mapping = MappingSearchConfig::quick(7);
     cfg.accel.threads = 1;
 
@@ -468,9 +310,9 @@ fn overlap_joint_unit_sharding_matches_single_process() {
     let addrs = vec![
         spawn_worker(1, 800).to_string(),
         spawn_worker(1, 0).to_string(),
+        spawn_worker(1, 0).to_string(),
     ];
     let mut coordinator = DistributedCoordinator::connect_joint(&addrs).expect("fleet reachable");
-    coordinator.set_overlap(true);
     let engine = CoSearchEngine::new(1);
     let mut state = naas::joint_search_init(&envelope, &cfg);
     while coordinator.step_joint(&engine, &model, &accuracy, &mut state) {}
@@ -480,23 +322,24 @@ fn overlap_joint_unit_sharding_matches_single_process() {
         distributed, local,
         "joint_unit sharding must be bit-identical to the single-process joint search"
     );
-    let stats = coordinator.overlap_stats();
+    let stats = coordinator.scheduler_stats();
     assert!(
         stats.joint_units > 0,
         "the sub-candidate path must have merged units, got {stats:?}"
     );
 }
 
-/// Joint overlap through worker death: a unit wave losing its worker
-/// mid-flight re-routes through the shared pool (or the local
-/// fallback) and the joint result still matches the uninterrupted
-/// single-process run.
+/// `joint_unit` sharding through worker death (2 candidates on 3
+/// workers): a unit wave losing its worker mid-flight re-routes through
+/// the shared pool (or the local fallback) and the joint result still
+/// matches the uninterrupted single-process run.
 #[test]
 fn overlap_joint_units_survive_kill_and_restart() {
     let model = CostModel::new();
     let accuracy = naas_nas::AccuracyModel::default();
     let envelope = naas_accel::ResourceConstraint::from_design(&naas_accel::baselines::eyeriss());
     let mut cfg = naas::JointConfig::quick(271);
+    cfg.accel.population = 2;
     cfg.accel.mapping = MappingSearchConfig::quick(7);
     cfg.accel.threads = 1;
 
@@ -508,9 +351,9 @@ fn overlap_joint_units_survive_kill_and_restart() {
     let addrs = vec![
         spawn_restartable_worker(3).to_string(),
         spawn_worker(1, 0).to_string(),
+        spawn_worker(1, 0).to_string(),
     ];
     let mut coordinator = DistributedCoordinator::connect_joint(&addrs).expect("fleet reachable");
-    coordinator.set_overlap(true);
     let engine = CoSearchEngine::new(1);
     let mut state = naas::joint_search_init(&envelope, &cfg);
     while coordinator.step_joint(&engine, &model, &accuracy, &mut state) {}
@@ -521,7 +364,7 @@ fn overlap_joint_units_survive_kill_and_restart() {
         "worker death during a unit wave must not change the joint result"
     );
     assert!(
-        coordinator.overlap_stats().joint_units > 0,
+        coordinator.scheduler_stats().joint_units > 0,
         "the surviving fleet must still merge units"
     );
 }
