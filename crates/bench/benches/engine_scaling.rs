@@ -1,5 +1,5 @@
 //! Engine scaling baseline: population evaluation throughput at
-//! 1/2/4/8 worker threads, and cold vs. warm shared cache.
+//! 1/2/4/8 worker threads.
 //!
 //! This is the perf baseline future PRs (sharding, batch services)
 //! measure against: the same 12-candidate population evaluated through
@@ -41,29 +41,9 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(format!("population_eval/cold/{threads}t"), |b| {
             b.iter(|| {
-                // Fresh engine per iteration: every mapping search runs.
+                // Every candidate owns its memo, so each iteration runs
+                // every mapping search again.
                 let engine = CoSearchEngine::new(threads);
-                let results = parallel_map(engine.threads(), &designs, |_idx, accel| {
-                    evaluate_candidate(
-                        &engine,
-                        &model,
-                        accel,
-                        nets,
-                        &mapping_cfg,
-                        RewardKind::Geomean,
-                    )
-                });
-                std::hint::black_box(results)
-            });
-        });
-    }
-
-    for threads in [1usize, 8] {
-        // Warm path: the engine persists across iterations, so after the
-        // first pass every lookup is a cache hit.
-        let engine = CoSearchEngine::new(threads);
-        group.bench_function(format!("population_eval/warm/{threads}t"), |b| {
-            b.iter(|| {
                 let results = parallel_map(engine.threads(), &designs, |_idx, accel| {
                     evaluate_candidate(
                         &engine,

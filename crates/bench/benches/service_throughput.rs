@@ -47,8 +47,6 @@ fn bench(c: &mut Criterion) {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file");

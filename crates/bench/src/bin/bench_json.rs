@@ -155,8 +155,6 @@ fn service_throughput() -> Value {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file");
@@ -198,8 +196,6 @@ fn spawn_worker(eval_delay_us: u64) -> String {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us,
     })
     .expect("no cache file");
@@ -242,9 +238,8 @@ fn straggler_run(delays: &[u64]) -> (Vec<f64>, naas::SchedulerStats) {
     (gens, coordinator.scheduler_stats())
 }
 
-/// Median of the warm generations (generation 0 is excluded: it pays
-/// the cold mapping cache and, for the dynamic scheduler, runs before
-/// any throughput EWMA exists).
+/// Median of the generations after the first (generation 0 is excluded:
+/// it runs before any throughput EWMA exists).
 fn warm_median_ms(gens: &[f64]) -> f64 {
     let mut warm: Vec<f64> = gens[1..].to_vec();
     warm.sort_by(|a, b| a.partial_cmp(b).expect("elapsed times are finite"));
@@ -294,14 +289,14 @@ const JOINT_ITERATIONS: usize = 4;
 
 /// Runs one sharded joint search over a fresh uniform 4-worker fleet.
 /// The population is below the fleet size, so the coordinator shards
-/// it per `(candidate, subnet)` unit. Returns per-generation wall-clock
-/// plus the scheduler counters.
-fn joint_run() -> (Vec<f64>, naas::SchedulerStats) {
+/// it per `(candidate, layer shape)` unit. Returns per-generation wall-clock,
+/// the scheduler counters and the best EDP found.
+fn joint_run() -> (Vec<f64>, naas::SchedulerStats, f64) {
     let envelope = naas_accel::ResourceConstraint::from_design(&naas_accel::baselines::eyeriss());
     let mut cfg = naas::JointConfig::quick(29);
     cfg.accel.population = JOINT_POPULATION;
     cfg.accel.iterations = JOINT_ITERATIONS;
-    // A mapping budget near the paper's scale, so one subnet evaluation
+    // A mapping budget near the paper's scale, so one layer search
     // carries real work — the regime where sub-candidate sharding pays.
     cfg.accel.mapping = MappingSearchConfig {
         population: 32,
@@ -327,22 +322,30 @@ fn joint_run() -> (Vec<f64>, naas::SchedulerStats) {
         }
         gens.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    (gens, coordinator.scheduler_stats())
+    let best = state.into_result().expect("the joint search finds a pair");
+    (gens, coordinator.scheduler_stats(), best.edp)
 }
 
 /// The small-generation joint workload: a 2-candidate joint generation
 /// on a 4-worker fleet. Whole-candidate shards would idle half the
-/// fleet, so the coordinator decomposes each candidate into per-subnet
-/// `joint_unit` shards and saturates all four workers.
+/// fleet, so the coordinator decomposes each candidate into
+/// per-layer-shape `joint_unit` shards and saturates all four workers.
 fn joint_small_generation() -> Value {
     eprintln!("bench_json: distributed_throughput — joint small generation (joint_unit shards)...");
-    let (gens, stats) = joint_run();
+    let (gens, stats, best_edp) = joint_run();
     obj(vec![
         ("workers", Value::U64(4)),
         ("population", Value::U64(JOINT_POPULATION as u64)),
         ("generations_timed", Value::U64(gens.len() as u64)),
         ("joint_unit_gen_ms", Value::F64(warm_median_ms(&gens))),
         ("joint_units", Value::U64(stats.joint_units)),
+        // Each unit is one layer-shape mapping search, shipped once per
+        // candidate: the fleet's whole mapping work.
+        (
+            "layer_searches_per_gen",
+            Value::F64(stats.joint_units as f64 / gens.len() as f64),
+        ),
+        ("best_edp", Value::F64(best_edp)),
     ])
 }
 
@@ -352,8 +355,7 @@ const PARETO_POPULATION: usize = 16;
 const PARETO_ITERATIONS: usize = 6;
 
 /// Runs one in-process `cifar-eyeriss` accelerator search to completion
-/// under the given objective policy, on a shared warm engine, returning
-/// the final state.
+/// under the given objective policy, returning the final state.
 fn objective_run(
     engine: &naas::CoSearchEngine,
     objectives: naas::ObjectivePolicy,
@@ -374,10 +376,10 @@ fn objective_run(
 
 /// The archive-overhead workload (ISSUE 8): the same accelerator search
 /// at the same seed and budget, scalar objectives versus the Pareto
-/// archive. One untimed pass warms the shared mapping cache, so the
-/// timed comparison isolates search-loop cost — the scalarized
-/// trajectory is identical in both modes, and the delta is the price of
-/// dominance inserts plus hypervolume truncation.
+/// archive. No memo outlives its candidate, so every run — timed or
+/// not — does the same cold mapping work; the scalarized trajectory is
+/// identical in both modes, and the delta is the price of dominance
+/// inserts plus hypervolume truncation.
 fn pareto_search() -> Value {
     let engine = naas::CoSearchEngine::new(1);
     let scalar_ms = median_ms(3, || {

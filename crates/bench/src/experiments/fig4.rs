@@ -36,9 +36,10 @@ pub struct Fig4 {
 
 /// Runs the Fig. 4 experiment: MobileNetV2 under the Eyeriss envelope.
 ///
-/// Both runs share one [`CoSearchEngine`]: any design the random walk
-/// happens to revisit from the evolution's trajectory is answered from
-/// the mapping cache instead of re-searched.
+/// Both runs share one [`CoSearchEngine`] (thread pool and memo
+/// totals). Each candidate owns its mapping memo, so a design the random
+/// walk revisits is searched again — with content-derived seeds, to the
+/// same answer.
 pub fn run(budget: &Budget, seed: u64) -> Fig4 {
     let model = CostModel::new();
     let envelope = ResourceConstraint::from_design(&baselines::eyeriss());

@@ -53,10 +53,11 @@ pub struct Fig5 {
 /// Runs one scenario: NAAS multi-network search within `baseline`'s
 /// envelope, compared per network against the baseline itself.
 ///
-/// The baseline comparison runs on the same engine as the search: the
-/// baseline was the warm-start seed of generation 0, so its per-layer
-/// mapping results are already in the shared cache and the denominator
-/// of every ratio is (mostly) free.
+/// The baseline comparison runs on the same engine as the search. Each
+/// network's baseline cost is one fresh mapping search per layer shape
+/// (no memo outlives its candidate); its content-derived seeds make it
+/// exactly the cost the search computed when the baseline was the
+/// warm-start seed of generation 0.
 pub fn run_scenario(
     model: &CostModel,
     baseline: &Accelerator,

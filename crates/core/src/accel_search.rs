@@ -10,14 +10,14 @@
 //! Execution goes through [`crate::engine::CoSearchEngine`]: candidates
 //! of a generation are evaluated on the work-stealing pool
 //! (`naas_engine::parallel_map`), per-layer mapping searches are memoized
-//! in the shared content-addressed cache, and inner seeds are derived
-//! from content — so results are bit-identical at any thread count, cold
-//! or warm cache. The search itself is expressed as a serializable
-//! [`AccelSearchState`] advanced one generation at a time
+//! in a memo owned by each candidate's evaluation, and inner seeds are
+//! derived from content — so results are bit-identical at any thread
+//! count and on any worker. The search itself is expressed as a
+//! serializable [`AccelSearchState`] advanced one generation at a time
 //! ([`accel_search_step`]), which is what checkpoint/resume and
 //! service-style batch evaluation build on.
 
-use crate::engine::CoSearchEngine;
+use crate::engine::{CoSearchEngine, MappingMemo};
 use crate::mapping_search::MappingSearchConfig;
 use crate::pareto::ParetoArchive;
 use crate::reward::{ObjectivePolicy, RewardKind};
@@ -154,7 +154,7 @@ pub struct AccelSearchResult {
     pub history: Vec<IterationStats>,
     /// Total valid candidate evaluations.
     pub evaluations: usize,
-    /// The engine's cache counters as of this search's last generation
+    /// The engine's memo counters as of this search's last generation
     /// (for a distributed search, the fleet's summed counters — see
     /// `DistributedCoordinator::fleet_cache_stats`). Counters are
     /// engine-lifetime: on a shared engine they include traffic from
@@ -251,9 +251,9 @@ pub struct AccelSearchState {
     /// a bit-identical front (`Option` so pre-archive checkpoints,
     /// where the field reads as null, still load).
     archive: Option<ParetoArchive>,
-    /// Cache counters as of the last completed generation
-    /// (informational; the cache itself is content-addressed and
-    /// rebuilds on demand after resume).
+    /// Memo counters as of the last completed generation
+    /// (informational; memos live only as long as one candidate's
+    /// evaluation, so nothing needs rebuilding after resume).
     pub cache_stats: CacheStats,
 }
 
@@ -335,9 +335,11 @@ pub fn accel_search_init(
     }
 }
 
-/// Evaluates one decoded design against a benchmark suite through the
-/// engine's shared cache: runs (or reuses) the mapping search per
-/// network, derives the objective vector from the cost reports and the
+/// Evaluates one decoded design against a benchmark suite: runs the
+/// mapping search per network through one memo owned by this
+/// evaluation (a layer shape repeated across the suite is searched
+/// once; the memo's counts go to `engine.cache()` when it ends),
+/// derives the objective vector from the cost reports and the
 /// area model, and scalarizes the reward ([`RewardKind::aggregate`] of
 /// the per-network EDPs — the single collapse point of the stack).
 /// Returns `None` if any network has an un-mappable layer on this
@@ -350,19 +352,25 @@ pub fn evaluate_candidate(
     mapping_cfg: &MappingSearchConfig,
     reward_kind: RewardKind,
 ) -> Option<CandidateEval> {
-    // One fingerprint per candidate, shared by all its network evals.
+    // One fingerprint and one memo per candidate, shared by all its
+    // network evals.
     let design_fp = crate::mapping_search::design_fingerprint(accel, mapping_cfg);
-    let mut per_network = Vec::with_capacity(networks.len());
-    for net in networks {
-        per_network.push(crate::mapping_search::network_mapping_search_memo(
-            model,
-            net,
-            accel,
-            mapping_cfg,
-            engine.cache(),
-            design_fp,
-        )?);
-    }
+    let mut memo = MappingMemo::new();
+    let per_network: Option<Vec<NetworkCost>> = networks
+        .iter()
+        .map(|net| {
+            crate::mapping_search::network_mapping_search_memo(
+                model,
+                net,
+                accel,
+                mapping_cfg,
+                &mut memo,
+                design_fp,
+            )
+        })
+        .collect();
+    engine.cache().record(&memo);
+    let per_network = per_network?;
     let edps: Vec<f64> = per_network.iter().map(NetworkCost::edp).collect();
     let reward = reward_kind.aggregate(&edps);
     let area_um2 = AreaModel::default().area_mm2(accel) * 1e6;
@@ -406,7 +414,7 @@ pub fn accel_search_step(
 /// `evaluate` receives the generation's decoded candidates in slot order
 /// and must return one result per candidate **in the same order**.
 /// Because each candidate's evaluation is a pure function of its content
-/// (content-derived inner seeds, content-addressed caching), any
+/// (content-derived inner seeds, per-candidate memos), any
 /// order-preserving evaluator produces a bit-identical search
 /// trajectory. The caller owns `state.cache_stats` bookkeeping (a remote
 /// evaluator has no local cache to read).
@@ -419,7 +427,7 @@ where
     };
     // Evaluate the population. Inner seeds are content-derived inside
     // `network_mapping_search_memo`, so results are independent of slot
-    // order, thread count, cache warmth — and of which process ran them.
+    // order, thread count — and of which process ran them.
     let results = evaluate(&sampled.slots);
     accel_commit_generation(state, sampled, results);
     true
@@ -819,13 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_engine_reuses_cache_across_searches() {
+    fn shared_engine_totals_memo_traffic_across_searches() {
         let model = CostModel::new();
         let envelope = ResourceConstraint::from_design(&baselines::eyeriss());
         let net = tiny_net();
         let cfg = AccelSearchConfig::quick(21);
         let engine = CoSearchEngine::new(2);
-        let cold = search_accelerator_with(
+        let first = search_accelerator_with(
             &engine,
             &model,
             std::slice::from_ref(&net),
@@ -834,8 +842,8 @@ mod tests {
             &[],
             None,
         );
-        let misses_after_cold = engine.cache_stats().misses;
-        let warm = search_accelerator_with(
+        let after_first = engine.cache_stats();
+        let second = search_accelerator_with(
             &engine,
             &model,
             std::slice::from_ref(&net),
@@ -844,12 +852,18 @@ mod tests {
             &[],
             None,
         );
-        // Same seed ⇒ same candidates ⇒ the second run is answered
-        // entirely from cache, with identical results.
-        assert_eq!(warm.best.accelerator, cold.best.accelerator);
-        assert_eq!(warm.best.reward, cold.best.reward);
-        assert_eq!(warm.history, cold.history);
-        assert_eq!(engine.cache_stats().misses, misses_after_cold);
+        // Same seed ⇒ same candidates ⇒ identical results. No memo
+        // outlives its candidate, so the rerun pays the same lookups
+        // again and the engine's totals exactly double.
+        assert_eq!(second.best.accelerator, first.best.accelerator);
+        assert_eq!(second.best.reward, first.best.reward);
+        assert_eq!(second.history, first.history);
+        assert!(after_first.misses > 0);
+        assert_eq!(after_first.entries, 0);
+        let totals = engine.cache_stats();
+        assert_eq!(totals.hits, 2 * after_first.hits);
+        assert_eq!(totals.misses, 2 * after_first.misses);
+        assert_eq!(totals.entries, 0);
     }
 
     #[test]

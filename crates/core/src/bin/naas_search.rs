@@ -4,30 +4,25 @@
 //! naas-search list
 //! naas-search run <scenario> [--preset smoke|quick|paper] [--seed N]
 //!                            [--threads N] [--checkpoint FILE] [--every K]
-//!                            [--cache-file FILE] [--cache-cap N]
 //!                            [--workers host:port,...] [--metrics-file FILE]
 //!                            [--microshards N] [--steal-deadline MS]
 //!                            [--objectives scalar|pareto]
 //! naas-search run --file scenario.json [...]
 //! naas-search resume <checkpoint-file> [--threads N] [--every K]
-//!                                      [--cache-file FILE] [--cache-cap N]
 //!                                      [--workers host:port,...|local]
 //!                                      [--metrics-file FILE]
 //!                                      [--microshards N] [--steal-deadline MS]
 //!                                      [--objectives scalar|pareto]
 //! naas-search show <checkpoint-file>
 //! naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper]
-//!                   [--seed N] [--threads N] [--cache-file FILE] [--cache-cap N]
-//!                   [--metrics-file FILE]
+//!                   [--seed N] [--threads N] [--metrics-file FILE]
 //! naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper]
-//!                    [--seed N] [--threads N] [--cache-file FILE] [--cache-cap N]
-//!                    [--metrics-file FILE]
+//!                    [--seed N] [--threads N] [--metrics-file FILE]
 //! naas-search gateway [--port N] [--bind ADDR] [--max-jobs N]
 //!                     [--tenant-quota N] [--executors N]
 //!                     [--workers host:port,...] [--microshards N]
 //!                     [--steal-deadline MS] [--preset smoke|quick|paper]
-//!                     [--seed N] [--threads N] [--cache-file FILE]
-//!                     [--cache-cap N] [--metrics-file FILE]
+//!                     [--seed N] [--threads N] [--metrics-file FILE]
 //! naas-search client <host:port> [metrics]
 //! naas-search client <host:port> submit --scenario NAME [--kind accel|joint]
 //!                     [--tenant T] [--weight N] [--seed N] [--preset quick|paper]
@@ -45,8 +40,8 @@
 //! reproducing what the uninterrupted search would have returned; `show`
 //! summarizes a checkpoint without running anything.
 //!
-//! `serve` starts the batch-evaluation service: one warm engine (shared
-//! mapping cache, work-stealing pool) answering JSONL requests on
+//! `serve` starts the batch-evaluation service: one resident engine
+//! (work-stealing pool, memo totals) answering JSONL requests on
 //! stdin/stdout and — with `--port` — on a TCP socket, coalescing
 //! concurrent in-flight requests into batched pipeline calls. See
 //! `naas::service` for the protocol and `docs/PROTOCOL.md` for the wire
@@ -76,21 +71,12 @@
 //! Checkpoints whose recorded plan says `microshards: 0` or carries an
 //! `overlap` field resume on the default scheduler.
 //!
-//! `--cache-file` persists the engine's mapping memo cache: entries are
-//! warm-loaded before the search starts (if the file exists) and the
-//! cache is saved back on every checkpoint write and at completion.
-//! Because cached results are content-addressed, warming never changes
-//! results — it only skips recomputing `(design, layer-shape)` pairs a
-//! previous run already solved, which is most of a resumed search's work.
-//! Mapping results stay on the worker that computed them, so a
-//! distributed run warm-starts from each `worker --cache-file`; the
-//! coordinator's own file holds only its local-fallback work. The
-//! cache counters a `--workers` run prints and checkpoints are the
-//! fleet's: its workers' latest counters plus the coordinator's own.
-//! `--cache-cap N` bounds the cache to N resident entries (CLOCK
-//! eviction; unbounded by default) — set it on week-long runs and on
-//! long-lived `serve`/`worker` processes so memory holds steady.
-//! Eviction costs recomputation, never correctness.
+//! Mapping results are memoized per candidate evaluation and dropped
+//! with it, so every process — including long-lived `serve`, `worker`
+//! and `gateway` ones — runs at flat memory with nothing to cap or
+//! persist. The memo counters a run prints and checkpoints are
+//! lifetime hit/miss totals; for a `--workers` run they are the fleet's
+//! (its workers' latest totals plus the coordinator's own).
 //!
 //! `--objectives pareto` keeps, alongside the unchanged scalarized
 //! search, a deterministic bounded Pareto archive over
@@ -109,7 +95,7 @@
 //! checkpointed step-loops interleaved on one shared engine — and, with
 //! `--workers`, one shared worker fleet. A joint job whose population
 //! is smaller than the fleet's `joint_unit` workers is sharded per
-//! `(candidate, subnet)` unit so no worker idles; see
+//! `(candidate, layer shape)` unit so no worker idles; see
 //! docs/ARCHITECTURE.md ("Sub-candidate joint sharding"). `--max-jobs` bounds resident
 //! jobs (submits beyond it answer `rejected:over_capacity`),
 //! `--tenant-quota` caps any one tenant's in-flight generations, and
@@ -151,20 +137,19 @@ fn usage() -> ! {
         "usage",
         "usage:\n  naas-search list\n  naas-search run <scenario|--file scenario.json> \
          [--preset smoke|quick|paper] [--seed N] [--threads N] [--checkpoint FILE] [--every K] \
-         [--cache-file FILE] [--cache-cap N] [--workers host:port,...] [--metrics-file FILE] \
+         [--workers host:port,...] [--metrics-file FILE] \
          [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
-         naas-search resume <checkpoint-file> [--threads N] [--every K] [--cache-file FILE] \
-         [--cache-cap N] [--workers host:port,...|local] [--metrics-file FILE] \
+         naas-search resume <checkpoint-file> [--threads N] [--every K] \
+         [--workers host:port,...|local] [--metrics-file FILE] \
          [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
          naas-search show <checkpoint-file>\n  \
          naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
-         [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
+         [--threads N] [--metrics-file FILE]\n  \
          naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
-         [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
+         [--threads N] [--metrics-file FILE]\n  \
          naas-search gateway [--port N] [--bind ADDR] [--max-jobs N] [--tenant-quota N] \
          [--executors N] [--workers host:port,...] [--microshards N] [--steal-deadline MS] \
-         [--preset smoke|quick|paper] [--seed N] [--threads N] [--cache-file FILE] \
-         [--cache-cap N] [--metrics-file FILE]\n  \
+         [--preset smoke|quick|paper] [--seed N] [--threads N] [--metrics-file FILE]\n  \
          naas-search client <host:port> [metrics]\n  \
          naas-search client <host:port> submit --scenario NAME [--kind accel|joint] \
          [--tenant T] [--weight N] [--seed N] [--preset quick|paper]\n  \
@@ -228,21 +213,18 @@ impl Args {
 /// The options each command accepts, space-separated; any other
 /// `--option` is refused.
 fn accepted_options(command: &str) -> &'static str {
-    const SERVICE: &str = "port bind preset seed threads cache-file cache-cap metrics-file";
+    const SERVICE: &str = "port bind preset seed threads metrics-file";
     match command {
         "list" | "show" => "",
         "run" => {
-            "file preset seed threads checkpoint every cache-file cache-cap workers \
-             metrics-file microshards steal-deadline objectives"
-        }
-        "resume" => {
-            "threads every cache-file cache-cap workers metrics-file microshards \
+            "file preset seed threads checkpoint every workers metrics-file microshards \
              steal-deadline objectives"
         }
+        "resume" => "threads every workers metrics-file microshards steal-deadline objectives",
         "serve" | "worker" => SERVICE,
         "gateway" => {
             "port bind max-jobs tenant-quota executors workers microshards steal-deadline \
-             preset seed threads cache-file cache-cap metrics-file"
+             preset seed threads metrics-file"
         }
         "client" => "scenario kind tenant weight seed preset job since follow",
         _ => usage(),
@@ -352,7 +334,6 @@ fn cmd_run(args: &Args) {
 
     init_metrics_file(args);
     let engine = CoSearchEngine::new(cfg.threads);
-    let cache_file = warm_load_cache(&engine, args);
     let model = CostModel::new();
     let seeds: Vec<_> = if job.scenario.warm_start {
         vec![job.baseline.clone()]
@@ -362,15 +343,7 @@ fn cmd_run(args: &Args) {
 
     let state = accel_search_init(&job.constraint, &cfg, &seeds);
     let mut driver = make_driver(args, args.get("workers"), &job.scenario);
-    drive(
-        &engine,
-        &model,
-        &job,
-        state,
-        policy.as_ref(),
-        cache_file,
-        &mut driver,
-    );
+    drive(&engine, &model, &job, state, policy.as_ref(), &mut driver);
 }
 
 /// Where generations are evaluated: in-process, or sharded over a fleet
@@ -468,28 +441,6 @@ fn check_scheduler_flags(args: &Args, population: usize) {
     .unwrap_or_else(|e| fail(e));
 }
 
-/// Resolves `--cache-cap` (0 = unbounded) and `--cache-file`,
-/// warm-loading the latter into the engine's memo cache when the file
-/// already exists (the cap is applied first, so an oversized file is
-/// trimmed on absorption). Returns the path so the driver can persist
-/// the cache as the search progresses.
-fn warm_load_cache<'a>(engine: &CoSearchEngine, args: &'a Args) -> Option<&'a std::path::Path> {
-    if let Some(cap) = args.get_num("cache-cap") {
-        engine.cache().set_entry_cap(cap);
-    }
-    let path = args.get("cache-file").map(std::path::Path::new)?;
-    if path.exists() {
-        match engine.cache().load_from(path) {
-            Ok(entries) => println!(
-                "warm-loaded {entries} cache entries from {}",
-                path.display()
-            ),
-            Err(e) => fail(format!("cannot load cache file {}: {e}", path.display())),
-        }
-    }
-    Some(path)
-}
-
 /// Attaches the telemetry JSONL sink when `--metrics-file` is given.
 /// Returns whether a sink is now active (structured events and metrics
 /// snapshots flow to the file; stderr rendering is unaffected).
@@ -550,7 +501,6 @@ fn cmd_resume(args: &Args) {
     );
     init_metrics_file(args);
     let engine = CoSearchEngine::new(threads);
-    let cache_file = warm_load_cache(&engine, args);
     let model = CostModel::new();
     // `--workers` overrides the recorded shard plan; without it, re-dial
     // the plan the interrupted run was sharded over. Either way the
@@ -589,24 +539,18 @@ fn cmd_resume(args: &Args) {
         &job,
         snapshot.state,
         Some(&policy),
-        cache_file,
         &mut driver,
     );
 }
 
 /// Steps a search to completion with progress lines and (optionally)
 /// per-generation `SearchCheckpoint` snapshots; prints the final report.
-/// With a cache file, the memo cache is persisted alongside every
-/// checkpoint write and once more at completion, so an interrupted run
-/// resumes with its mapping results already warm.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     engine: &CoSearchEngine,
     model: &CostModel,
     job: &naas_engine::EvalJob,
     mut state: AccelSearchState,
     policy: Option<&CheckpointPolicy>,
-    cache_file: Option<&std::path::Path>,
     driver: &mut Driver,
 ) {
     let iterations = state.config.iterations;
@@ -636,12 +580,6 @@ fn drive(
                 checkpoint::save(&policy.path, &snapshot)
                     .unwrap_or_else(|e| fail(format!("cannot write checkpoint: {e}")));
             }
-            if let Some(path) = cache_file {
-                engine
-                    .cache()
-                    .save_to(path)
-                    .unwrap_or_else(|e| fail(format!("cannot write cache file: {e}")));
-            }
         }
     }
     write_metrics_snapshot(engine);
@@ -658,12 +596,11 @@ fn cmd_show(args: &Args) {
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
     let state = &snapshot.state;
     println!(
-        "scenario `{}`: generation {}/{}, {} evaluations, cache {} entries ({:.0}% hit)",
+        "scenario `{}`: generation {}/{}, {} evaluations, cache {:.0}% hit",
         snapshot.scenario.name,
         state.iteration,
         state.config.iterations,
         state.history().iter().map(|h| h.valid).sum::<usize>(),
-        state.cache_stats.entries,
         state.cache_stats.hit_rate() * 100.0
     );
     match state.best() {
@@ -686,7 +623,7 @@ fn bind_addr(args: &Args) -> &str {
 }
 
 /// The service-construction preamble shared by `serve` and `worker`:
-/// flag parsing, warm cache load, startup banner.
+/// flag parsing, startup banner.
 fn build_service(args: &Args, banner: &str) -> naas::BatchEvalService {
     let threads = args.get_num("threads").unwrap_or(0);
     let seed = args.get_num("seed").unwrap_or(2021);
@@ -705,8 +642,6 @@ fn build_service(args: &Args, banner: &str) -> naas::BatchEvalService {
     let service = naas::BatchEvalService::new(naas::ServiceConfig {
         threads,
         mapping,
-        cache_file: args.get("cache-file").map(std::path::PathBuf::from),
-        cache_cap: args.get_num("cache-cap").unwrap_or(0),
         eval_delay_us,
     })
     .unwrap_or_else(|e| fail(format!("cannot start {banner}: {e}")));
@@ -714,20 +649,14 @@ fn build_service(args: &Args, banner: &str) -> naas::BatchEvalService {
         Level::Info,
         "service_started",
         &format!(
-            "naas-search {banner}: {} worker thread(s), mapping budget {}x{}, \
-             {} warm cache entries",
+            "naas-search {banner}: {} worker thread(s), mapping budget {}x{}",
             service.threads(),
             mapping.population,
             mapping.iterations,
-            service.engine().cache_stats().entries
         ),
         &[
             ("mode", Value::Str(banner.to_string())),
             ("threads", Value::U64(service.threads() as u64)),
-            (
-                "warm_entries",
-                Value::U64(service.engine().cache_stats().entries),
-            ),
         ],
     );
     service
@@ -748,10 +677,10 @@ fn start_metrics_snapshots(args: &Args, service: &std::sync::Arc<naas::BatchEval
     });
 }
 
-/// `serve`: the batch-evaluation service. One warm engine answers JSONL
+/// `serve`: the batch-evaluation service. One resident engine answers JSONL
 /// requests on stdin/stdout; `--port` additionally accepts TCP
 /// connections (on `--bind`, default loopback). A `shutdown` command
-/// (from any stream) persists the cache and exits cleanly; without
+/// (from any stream) drains and exits cleanly; without
 /// `--port`, stdin EOF does the same.
 fn cmd_serve(args: &Args) {
     let service = std::sync::Arc::new(build_service(args, "serve"));
@@ -768,7 +697,7 @@ fn cmd_serve(args: &Args) {
                 .unwrap_or_else(|e| fail(format!("stdio stream failed: {e}")));
             server
                 .stop()
-                .unwrap_or_else(|e| fail(format!("cannot persist cache: {e}")));
+                .unwrap_or_else(|e| fail(format!("cannot stop the service: {e}")));
         }
         Some(port) => {
             let listener = bind_listener(args, port);
@@ -818,8 +747,7 @@ fn bind_listener(args: &Args, port: u16) -> std::net::TcpListener {
 /// distributed `run --workers` coordinator. Accepts connections (on
 /// `--bind`, default loopback — use `--bind 0.0.0.0` for a
 /// multi-machine fleet) until a `shutdown` command arrives on any of
-/// them, then drains every queued request, persists the cache and
-/// exits. Stdin is untouched, so workers background cleanly
+/// them, then drains every queued request and exits. Stdin is untouched, so workers background cleanly
 /// (`naas-search worker --port 4801 &`).
 fn cmd_worker(args: &Args) {
     let port: u16 = args
@@ -902,7 +830,7 @@ fn cmd_gateway(args: &Args) {
                 .unwrap_or_else(|e| fail(format!("stdio stream failed: {e}")));
             server
                 .stop()
-                .unwrap_or_else(|e| fail(format!("cannot persist cache: {e}")));
+                .unwrap_or_else(|e| fail(format!("cannot stop the service: {e}")));
         }
         Some(port) => {
             let listener = bind_listener(args, port);
@@ -927,18 +855,13 @@ fn cmd_gateway(args: &Args) {
 
 /// The shutdown path shared by `serve --port`, `worker` and `gateway`:
 /// drain the batcher (every queued request across all connections gets
-/// its response computed and handed to its stream), persist the cache,
-/// then exit 0. The stream that requested shutdown is fully flushed
+/// its response computed and handed to its stream), then exit 0. The stream that requested shutdown is fully flushed
 /// before this runs; sibling connections get a grace period to flush
 /// their final responses — best-effort, since a sibling stalled on TCP
 /// backpressure cannot be waited out forever.
 fn finish_and_exit<S: naas::WireService>(server: &naas::ServiceServer<S>) -> ! {
     server.drain();
     std::thread::sleep(std::time::Duration::from_millis(200));
-    server
-        .service()
-        .persist_cache()
-        .unwrap_or_else(|e| fail(format!("cannot persist cache: {e}")));
     exit(0);
 }
 
@@ -1117,8 +1040,7 @@ fn report(state: AccelSearchState, elapsed: std::time::Duration) {
         elapsed.as_secs_f64()
     );
     println!(
-        "cache: {} entries, {} hits / {} misses ({:.0}% hit rate)",
-        stats.entries,
+        "cache: {} hits / {} misses ({:.0}% hit rate)",
         stats.hits,
         stats.misses,
         stats.hit_rate() * 100.0

@@ -4,8 +4,8 @@
 //!
 //! The paper's evolutionary co-search evaluates a sampled population per
 //! generation, and every candidate's evaluation is a pure function of
-//! its content (content-derived inner seeds, content-addressed mapping
-//! cache). That purity is what makes distribution *trivial to get right*:
+//! its content (content-derived inner seeds, per-candidate mapping
+//! memos). That purity is what makes distribution *trivial to get right*:
 //! a [`DistributedCoordinator`] runs the ordinary sampling/optimizer
 //! logic of [`accel_search_step_with`] (or [`joint_search_step_with`]
 //! for the joint loop) and only
@@ -54,9 +54,11 @@
 //! candidate's entire NAS evolution. That strands workers whenever a
 //! generation has fewer candidates than the fleet has workers, so
 //! [`DistributedCoordinator::step_joint`] then switches to `joint_unit`
-//! shards: the coordinator drives each candidate's evolution itself and
-//! fans out one `(candidate, subnet)` mapping search per unit. The rule
-//! is computed from the inputs, not set by a flag: units are used
+//! shards: the coordinator drives each candidate's evolution itself,
+//! holds that candidate's layer memo, and fans out one
+//! `(candidate, layer shape)` mapping search per unit — each shape once
+//! per candidate, and nothing at all for a wave whose shapes are known.
+//! The rule is computed from the inputs, not set by a flag: units are used
 //! exactly when the joint population is smaller than the number of live
 //! workers advertising the `joint_unit` capability. Every other joint
 //! generation keeps whole-candidate shards: forcing units there measured
@@ -95,19 +97,17 @@
 //! the rest of the run. The shard *plan* (the worker address list) is
 //! recorded in checkpoints, so a resumed run re-dials the full fleet.
 //!
-//! ## Caches stay on their workers
+//! ## Memos die with their candidate
 //!
-//! A mapping result lives only in the memo cache of the worker that
-//! computed it. Every cache hit of an accelerator search is a repeated
-//! layer shape *inside* one candidate's networks, and a candidate is
-//! evaluated whole on one worker, so relaying results between workers
-//! would find nothing to reuse. Shard replies carry the worker's cache
-//! counters (`cache_stats`) instead; the coordinator reports the fleet's
-//! cache as the sum of each worker's latest counters plus its own engine
-//! (which only local fallback work touches) —
-//! [`DistributedCoordinator::fleet_cache_stats`]. Warm-start a fleet with
-//! `naas-search worker --cache-file`, and bound long-lived worker caches
-//! with `--cache-cap` ([`naas_engine::MemoCache::set_entry_cap`]).
+//! Every memo hit of a NAAS search is a repeated layer shape *inside*
+//! one candidate, so a mapping result lives only in the memo of the
+//! evaluation that computed it and is dropped when that candidate is
+//! done: nothing is relayed between workers, persisted, or capped, and
+//! worker memory stays flat. Shard replies carry the worker's memo
+//! totals (`cache_stats`); the coordinator reports the fleet's as the
+//! sum of each worker's latest totals plus its own engine (local
+//! fallback work and the layer memos of `joint_unit` candidates) —
+//! [`DistributedCoordinator::fleet_cache_stats`].
 //!
 //! # Examples
 //!
@@ -129,14 +129,14 @@ use crate::joint::{
     evaluate_joint_candidate, joint_commit_generation, joint_nas_seed, joint_sample_generation,
     joint_search_step_with, JointCandidateEval, JointSearchState,
 };
-use crate::mapping_search::{design_fingerprint, network_mapping_search_memo};
+use crate::mapping_search::{design_fingerprint, search_layer_seeded};
 use crate::pareto::ParetoArchive;
 use naas_accel::{area::AreaModel, Accelerator};
-use naas_cost::{CostModel, NetworkCost, ObjectiveVector};
+use naas_cost::{CostModel, LayerCost, NetworkCost, ObjectiveVector};
 use naas_engine::remote::{RemoteError, RemoteWorker};
 use naas_engine::telemetry::{self, Level};
-use naas_engine::{CacheStats, Scenario};
-use naas_ir::Network;
+use naas_engine::{CacheStats, LayerKey, MemoCache, Scenario};
+use naas_ir::{ConvSpec, Network};
 use naas_nas::{AccuracyModel, NasConfig, Subnet, SubnetSearchDriver};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -580,8 +580,8 @@ impl DistributedCoordinator {
     ///
     /// When the population is smaller than the number of live workers
     /// advertising `joint_unit`, whole-candidate shards would strand
-    /// workers, so the generation shards per `(candidate, subnet)` unit
-    /// instead (see the module docs).
+    /// workers, so the generation shards per `(candidate, layer shape)`
+    /// unit instead (see the module docs).
     pub fn step_joint(
         &mut self,
         engine: &CoSearchEngine,
@@ -682,19 +682,23 @@ impl DistributedCoordinator {
 
     /// The joint step with sub-candidate sharding: each candidate's NAS
     /// evolution runs as a [`SubnetSearchDriver`] state machine *on the
-    /// coordinator*, and the evolutions' pending subnets are flattened
-    /// into waves of `(candidate, subnet)` work units fanned over the
-    /// fleet in `joint_unit` wire mode — one unit is one mapping search
-    /// of one subnet on one candidate. A 4-candidate generation thus
-    /// saturates a 16-worker fleet instead of pinning 4 workers.
+    /// coordinator*, and the layer shapes its pending subnets need are
+    /// flattened into waves of `(candidate, layer shape)` work units
+    /// fanned over the fleet in `joint_unit` wire mode — one unit is one
+    /// mapping search of one layer shape on one candidate. A
+    /// 4-candidate generation thus saturates a 16-worker fleet instead
+    /// of pinning 4 workers.
     ///
-    /// Bit-identity with the whole-candidate path
+    /// The coordinator knows when each candidate's evolution ends, so it
+    /// holds that candidate's layer memo: a shape is shipped once per
+    /// candidate, each pending subnet's [`NetworkCost`] is assembled from
+    /// the memo in layer order, and a wave whose shapes are all known
+    /// sends nothing. Bit-identity with the whole-candidate path
     /// (`step_joint_whole`) holds by construction: the driver consumes
-    /// the NAS RNG exactly as `search_subnet` does, every unit result is
-    /// the same pure function (`network_mapping_search_memo` with
-    /// content-derived seeds) a worker running the whole evolution would
-    /// have computed, and units merge by `(candidate, unit)` index in
-    /// deterministic wave order.
+    /// the NAS RNG exactly as `search_subnet` does, every unit is the
+    /// same content-seeded search ([`search_layer_seeded`]) a worker
+    /// running the whole evolution would have run, and the memo is
+    /// consulted in the same order — so even its hit/miss counts match.
     fn step_joint_units(
         &mut self,
         engine: &CoSearchEngine,
@@ -707,6 +711,7 @@ impl DistributedCoordinator {
             return false;
         };
         let iteration = sampled.iteration;
+        let mapping = &cfg.accel.mapping;
 
         // One driver per decoded candidate, seeded exactly as the
         // whole-candidate path seeds its remote evolutions.
@@ -722,37 +727,38 @@ impl DistributedCoordinator {
             .iter()
             .map(|nas_cfg| SubnetSearchDriver::new(nas_cfg, accuracy))
             .collect();
-        // Per-candidate memo of unit results: a subnet scored once on a
-        // design is never re-shipped (parents recur every generation).
-        // `Subnet` is not hashable; populations are tiny, linear scan.
-        let mut memo: Vec<Vec<(Subnet, Option<NetworkCost>)>> =
-            vec![Vec::new(); sampled.slots.len()];
-        let lookup = |memo: &[(Subnet, Option<NetworkCost>)], s: &Subnet| {
-            memo.iter().find(|(k, _)| k == s).map(|(_, c)| c.clone())
-        };
+        let design_fps: Vec<u64> = sampled
+            .slots
+            .iter()
+            .map(|(_, _, accel)| design_fingerprint(accel, mapping))
+            .collect();
+        // Per candidate: the memo its evolution consults, and unit
+        // results shipped back but not yet looked up (a layer after an
+        // un-mappable one is never looked up, exactly as in
+        // `network_mapping_search_memo`).
+        let n = sampled.slots.len();
+        let mut memos: Vec<MemoCache<Option<LayerCost>>> = vec![MemoCache::new(); n];
+        let mut fetched: Vec<HashMap<LayerKey, Option<LayerCost>>> = vec![HashMap::new(); n];
 
-        loop {
-            // This wave: every live driver's pending subnets that are
-            // not yet memoized, deduplicated per candidate.
-            let mut units: Vec<(usize, Subnet)> = Vec::new();
-            let mut live_any = false;
-            for (ci, driver) in drivers.iter().enumerate() {
-                if driver.is_done() {
-                    continue;
-                }
-                live_any = true;
-                for s in driver.pending() {
-                    if lookup(&memo[ci], s).is_some() {
-                        continue;
+        while !drivers.iter().all(SubnetSearchDriver::is_done) {
+            // This wave: every live driver's pending subnets, and the
+            // layer shapes among them not yet known for that candidate.
+            let pending: Vec<Vec<Network>> = drivers
+                .iter()
+                .map(|d| d.pending().iter().map(Subnet::to_network).collect())
+                .collect();
+            let mut units: Vec<(usize, ConvSpec)> = Vec::new();
+            let mut planned: HashSet<(usize, LayerKey)> = HashSet::new();
+            for (ci, nets) in pending.iter().enumerate() {
+                for layer in nets.iter().flat_map(|net| net.layers()) {
+                    let key = LayerKey::of(layer);
+                    if !memos[ci].contains(&key)
+                        && !fetched[ci].contains_key(&key)
+                        && planned.insert((ci, key))
+                    {
+                        units.push((ci, layer.clone()));
                     }
-                    if units.iter().any(|(c, k)| *c == ci && k == s) {
-                        continue;
-                    }
-                    units.push((ci, *s));
                 }
-            }
-            if !live_any {
-                break;
             }
 
             if !units.is_empty() {
@@ -763,39 +769,25 @@ impl DistributedCoordinator {
                         .iter()
                         .map(|(ci, _)| slots[*ci].2.clone())
                         .collect();
-                    let subnets: Vec<Subnet> = units_ref[range].iter().map(|(_, s)| *s).collect();
+                    let layers: Vec<ConvSpec> =
+                        units_ref[range].iter().map(|(_, l)| l.clone()).collect();
                     vec![
                         ("candidates".to_string(), serde_json::to_value(&candidates)),
-                        (
-                            "mapping".to_string(),
-                            serde_json::to_value(&cfg.accel.mapping),
-                        ),
+                        ("mapping".to_string(), serde_json::to_value(mapping)),
                         (
                             "joint_unit".to_string(),
                             Value::Object(vec![(
-                                "subnets".to_string(),
-                                serde_json::to_value(&subnets),
+                                "layers".to_string(),
+                                serde_json::to_value(&layers),
                             )]),
                         ),
                     ]
                 };
                 let mut fallback = |range: Range<usize>| {
-                    naas_engine::parallel_map(
-                        engine.threads(),
-                        &units_ref[range],
-                        |_idx, (ci, subnet)| {
-                            let accel = &slots[*ci].2;
-                            let fp = design_fingerprint(accel, &cfg.accel.mapping);
-                            network_mapping_search_memo(
-                                model,
-                                &subnet.to_network(),
-                                accel,
-                                &cfg.accel.mapping,
-                                engine.cache(),
-                                fp,
-                            )
-                        },
-                    )
+                    naas_engine::parallel_map(engine.threads(), &units_ref[range], |_, (ci, l)| {
+                        search_layer_seeded(model, l, &slots[*ci].2, mapping, design_fps[*ci])
+                            .map(|r| r.cost)
+                    })
                 };
                 let results = self.evaluate_sharded(
                     units.len(),
@@ -805,8 +797,8 @@ impl DistributedCoordinator {
                     &mut fallback,
                 );
                 let merged_units = results.len() as u64;
-                for ((ci, subnet), result) in units.iter().zip(results) {
-                    memo[*ci].push((*subnet, result));
+                for ((ci, layer), result) in units.iter().zip(results) {
+                    fetched[*ci].insert(LayerKey::of(layer), result);
                 }
                 self.stats_last.joint_units += merged_units;
                 self.stats_total.joint_units += merged_units;
@@ -816,19 +808,16 @@ impl DistributedCoordinator {
                     .add(merged_units);
             }
 
-            // Every pending subnet is now memoized: feed each live
+            // Every pending layer shape is now known: feed each live
             // driver its generation's scores and let it breed.
             for (ci, driver) in drivers.iter_mut().enumerate() {
                 if driver.is_done() {
                     continue;
                 }
-                let scores: Vec<Option<f64>> = driver
-                    .pending()
+                let scores: Vec<Option<f64>> = pending[ci]
                     .iter()
-                    .map(|s| {
-                        lookup(&memo[ci], s)
-                            .expect("the wave covered every pending subnet")
-                            .map(|cost| cost.edp())
+                    .map(|net| {
+                        unit_network_cost(&mut memos[ci], &mut fetched[ci], net).map(|c| c.edp())
                     })
                     .collect();
                 driver.absorb(&scores);
@@ -838,16 +827,18 @@ impl DistributedCoordinator {
         // Fold each evolution's outcome into a JointCandidateEval — the
         // winner's full cost report comes from the memo (the evolution
         // scored it moments ago), exactly as `evaluate_joint_candidate`
-        // re-derives it through the cache.
+        // re-derives it — then retire the candidate's memo.
         let outcomes: Vec<Option<JointCandidateEval>> = drivers
             .into_iter()
-            .enumerate()
-            .map(|(ci, driver)| {
-                let out = driver.finish()?;
-                let cost = lookup(&memo[ci], &out.subnet)
-                    .flatten()
-                    .expect("the winning subnet was scored feasible");
-                let accel = &sampled.slots[ci].2;
+            .zip(memos.iter_mut().zip(&mut fetched))
+            .zip(&sampled.slots)
+            .map(|((driver, (memo, fetched)), (_, _, accel))| {
+                let out = driver.finish();
+                let cost = out
+                    .as_ref()
+                    .and_then(|out| unit_network_cost(memo, fetched, &out.subnet.to_network()));
+                engine.cache().record(memo);
+                let (out, cost) = (out?, cost.expect("the winning subnet was scored feasible"));
                 let area_um2 = AreaModel::default().area_mm2(accel) * 1e6;
                 let objectives = ObjectiveVector::from_suite(
                     std::slice::from_ref(&cost),
@@ -1922,6 +1913,28 @@ fn shard_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// Assembles one subnet's [`NetworkCost`] from its candidate's layer
+/// memo in layer order, moving each shape's unit result out of
+/// `fetched` on first use — the lookups `network_mapping_search_memo`
+/// would make, including its stop at the first un-mappable layer.
+fn unit_network_cost(
+    memo: &mut MemoCache<Option<LayerCost>>,
+    fetched: &mut HashMap<LayerKey, Option<LayerCost>>,
+    network: &Network,
+) -> Option<NetworkCost> {
+    let mut layers = Vec::with_capacity(network.len());
+    for layer in network {
+        let key = LayerKey::of(layer);
+        let cost = memo.get_or_compute(key, || {
+            fetched
+                .remove(&key)
+                .expect("the wave covered every pending layer shape")
+        });
+        layers.push((*cost)?);
+    }
+    Some(NetworkCost { layers })
+}
+
 /// Decodes the framing shared by every shard-reply shape: the `results`
 /// array, cardinality-checked. Other fields are ignored, so a `cache_delta`
 /// from a worker that still gossips parses unchanged.
@@ -2023,21 +2036,21 @@ fn parse_joint_shard_reply(
 }
 
 /// Decodes one `joint_unit`-mode `evaluate_shard` reply: the raw
-/// per-unit [`NetworkCost`] (`null` = no feasible mapping for that
-/// subnet on that design). The derived EDP passes the same
-/// finite-positive check as scalar wire rewards — a poisoned cost must
-/// fail the shard, never reach the NAS fold.
+/// per-unit [`LayerCost`] (`null` = no feasible mapping for that layer
+/// shape on that design). The EDP passes the same finite-positive check
+/// as scalar wire rewards — a poisoned cost must fail the shard, never
+/// reach the NAS fold.
 fn parse_joint_unit_reply(
     reply: &Value,
     expected: usize,
-) -> Result<Vec<Option<NetworkCost>>, String> {
+) -> Result<Vec<Option<LayerCost>>, String> {
     let results = parse_reply_frame(reply, expected)?;
     let mut outcomes = Vec::with_capacity(expected);
     for entry in results {
         outcomes.push(match entry {
             Value::Null => None,
             value => {
-                let cost: NetworkCost = serde_json::from_value(value)
+                let cost: LayerCost = serde_json::from_value(value)
                     .map_err(|e| format!("invalid joint unit cost: {e}"))?;
                 let edp = cost.edp();
                 if !edp.is_finite() || edp <= 0.0 {
@@ -2270,5 +2283,40 @@ mod tests {
         assert!(parse_joint_shard_reply(&bad, 1)
             .unwrap_err()
             .contains("joint candidate outcome"));
+
+        // `joint_unit` replies: one `LayerCost` or `null` per unit.
+        let layer = ConvSpec::conv2d("c", 8, 8, (8, 8), (3, 3), 1, 1).unwrap();
+        let accel = naas_accel::baselines::eyeriss();
+        let real = CostModel::new()
+            .evaluate(
+                &layer,
+                &accel,
+                &naas_mapping::Mapping::balanced(&layer, &accel),
+            )
+            .unwrap();
+        let cost = serde_json::to_string(&real).unwrap();
+        let units: Value =
+            serde_json::parse_str(&format!(r#"{{"results": [null, {cost}]}}"#)).unwrap();
+        assert_eq!(
+            parse_joint_unit_reply(&units, 2).unwrap(),
+            vec![None, Some(real)]
+        );
+        assert!(parse_joint_unit_reply(&units, 3)
+            .unwrap_err()
+            .contains("mismatch"));
+        // The retired per-subnet shape and poisoned costs fail the shard.
+        let mut negative = real;
+        negative.energy_pj = -5.0;
+        let mut stalled = real;
+        stalled.cycles = 0;
+        for bad in [
+            r#"{"layers": []}"#.to_string(),
+            serde_json::to_string(&negative).unwrap(),
+            serde_json::to_string(&stalled).unwrap(),
+        ] {
+            let reply: Value =
+                serde_json::parse_str(&format!(r#"{{"results": [{bad}]}}"#)).unwrap();
+            assert!(parse_joint_unit_reply(&reply, 1).is_err(), "accepted {bad}");
+        }
     }
 }

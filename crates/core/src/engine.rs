@@ -1,42 +1,41 @@
 //! The co-search's handle on the `naas-engine` subsystem.
 //!
-//! A [`CoSearchEngine`] bundles the two shared resources every search
-//! loop in this crate draws on: a resolved worker count for the
-//! work-stealing evaluator, and the process-wide mapping-result memo
-//! cache. One engine can back many searches — an experiment that runs
-//! several searches over the same envelope (Fig. 4's NAAS-vs-random
-//! pair, Fig. 5's per-scenario baseline comparison, a Pareto sweep)
-//! shares one cache and never pays twice for a `(design, layer-shape)`
-//! pair.
+//! A [`CoSearchEngine`] bundles what every search loop in this crate
+//! draws on: a resolved worker count for the work-stealing evaluator,
+//! and the hit/miss totals of the mapping memos its evaluations retire.
+//! The memos themselves are not shared: each candidate evaluation owns a
+//! [`MappingMemo`] that dies with it (see `naas_engine::cache`), so one
+//! engine can back many searches — or a resident service — at flat
+//! memory.
 //!
-//! Sharing is *sound* because cached values are content-addressed: the
+//! Memoization is *sound* because values are content-addressed: the
 //! inner mapping search for a layer is seeded from the design and layer
 //! fingerprints (see `naas_engine::fingerprint`), never from slot,
-//! generation or thread indices — so a cache hit returns exactly what a
-//! cold evaluation would have computed.
+//! generation or thread indices — so a memo hit returns exactly what a
+//! fresh search would have computed.
 
 use crate::mapping_search::MappingSearchResult;
-use naas_engine::{CacheStats, MemoCache};
+use naas_engine::{CacheStats, MemoCache, MemoCounters};
 
-/// The memo table shared by every search on one engine: design
-/// fingerprint × layer shape → mapping-search outcome (`None` marks an
-/// un-mappable layer, which is just as valuable to remember).
+/// One candidate evaluation's memo: layer shape → mapping-search
+/// outcome on that candidate's design (`None` marks an un-mappable
+/// layer, which is just as valuable to remember).
 pub type MappingMemo = MemoCache<Option<MappingSearchResult>>;
 
 /// Shared execution context for co-searches: worker pool size plus the
-/// cross-search mapping memo cache.
+/// engine's memo totals.
 pub struct CoSearchEngine {
     threads: usize,
-    cache: MappingMemo,
+    memos: MemoCounters,
 }
 
 impl CoSearchEngine {
-    /// Creates an engine with `threads` workers (`0` = all cores) and an
-    /// empty cache.
+    /// Creates an engine with `threads` workers (`0` = all cores) and
+    /// zeroed memo totals.
     pub fn new(threads: usize) -> Self {
         CoSearchEngine {
             threads: naas_engine::resolve_threads(threads),
-            cache: MemoCache::new(),
+            memos: MemoCounters::default(),
         }
     }
 
@@ -50,14 +49,16 @@ impl CoSearchEngine {
         self.threads
     }
 
-    /// The shared mapping memo cache.
-    pub fn cache(&self) -> &MappingMemo {
-        &self.cache
+    /// The totals every finished [`MappingMemo`] of this engine is
+    /// recorded into.
+    pub fn cache(&self) -> &MemoCounters {
+        &self.memos
     }
 
-    /// Cache occupancy/effectiveness counters.
+    /// Memo hit/miss totals (`entries` is 0: no memo outlives its
+    /// candidate).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.memos.stats()
     }
 }
 

@@ -58,7 +58,7 @@ use crate::service::{BatchEvalService, WireService};
 use naas_cost::CostModel;
 use naas_engine::service::{error_line, ok_line, ParseFailure, Request};
 use naas_engine::telemetry::metrics;
-use naas_engine::{scenario, CheckpointError, EvalJob};
+use naas_engine::{scenario, EvalJob};
 use naas_nas::AccuracyModel;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -355,10 +355,6 @@ impl WireService for GatewayService {
 
     fn threads(&self) -> usize {
         self.core.inner.threads()
-    }
-
-    fn persist_cache(&self) -> Result<(), CheckpointError> {
-        self.core.inner.persist_cache()
     }
 }
 

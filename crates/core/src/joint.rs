@@ -11,10 +11,10 @@
 //!
 //! Candidates of a generation are independent, so their whole NAS
 //! evolutions run in parallel on the engine's work-stealing pool; all
-//! mapping searches inside them share the engine's content-addressed
-//! cache, so a subnet layer shape evaluated once on a design is never
-//! evaluated on it again — across subnets, candidates, generations, and
-//! every sweep sharing the engine.
+//! mapping searches inside one candidate's evolution share that
+//! candidate's memo, so a subnet layer shape evaluated once on the design
+//! is never evaluated on it again, across every subnet the evolution
+//! proposes. The memo dies with the candidate.
 //!
 //! Like the accelerator search, the joint loop is expressed as a
 //! serializable [`JointSearchState`] advanced one outer generation at a
@@ -28,7 +28,7 @@
 //! (`tests/tests/distributed.rs`).
 
 use crate::accel_search::AccelSearchConfig;
-use crate::engine::CoSearchEngine;
+use crate::engine::{CoSearchEngine, MappingMemo};
 use crate::pareto::ParetoArchive;
 use crate::reward::ObjectivePolicy;
 use naas_accel::{area::AreaModel, Accelerator, ResourceConstraint};
@@ -193,10 +193,10 @@ pub fn joint_nas_seed(cfg: &JointConfig, iteration: usize, slot: usize) -> u64 {
 /// Runs one accelerator candidate's whole NAS evolution: the inner
 /// workload of a joint-search generation, exactly as a single-process
 /// [`joint_search_step`] performs it. `nas_seed` must come from
-/// [`joint_nas_seed`]; the mapping searches inside go through the
-/// engine's shared cache with content-derived seeds, so where this runs
-/// (and what was cached before) is invisible in the outcome. This is
-/// the unit the distributed coordinator ships to workers.
+/// [`joint_nas_seed`]; the mapping searches inside share one memo owned
+/// by this call and use content-derived seeds, so where this runs is
+/// invisible in the outcome. This is the unit the distributed
+/// coordinator ships to workers.
 pub fn evaluate_joint_candidate(
     engine: &CoSearchEngine,
     model: &CostModel,
@@ -210,32 +210,28 @@ pub fn evaluate_joint_candidate(
         seed: nas_seed,
         ..*nas_cfg
     };
-    // One fingerprint per candidate: every subnet the NAS proposes
-    // shares it.
+    // One fingerprint and one memo per candidate: every subnet the NAS
+    // proposes shares them.
     let design_fp = crate::mapping_search::design_fingerprint(accel, mapping_cfg);
-    let out = search_subnet(&nas_cfg, accuracy_model, |net| {
+    let mut memo = MappingMemo::new();
+    let mut score = |net: &naas_ir::Network| {
         crate::mapping_search::network_mapping_search_memo(
             model,
             net,
             accel,
             mapping_cfg,
-            engine.cache(),
+            &mut memo,
             design_fp,
         )
-        .map(|cost| cost.edp())
-    })?;
+    };
+    let out = search_subnet(&nas_cfg, accuracy_model, |net| score(net).map(|c| c.edp()));
     // Re-derive the winning subnet's full cost report for the objective
     // vector: the NAS loop evaluated it moments ago through the same
-    // memo cache with content-derived seeds, so this is a cache hit and
-    // bit-identical to the evaluation that produced `out.reward`.
-    let cost = crate::mapping_search::network_mapping_search_memo(
-        model,
-        &out.subnet.to_network(),
-        accel,
-        mapping_cfg,
-        engine.cache(),
-        design_fp,
-    )?;
+    // memo, so every layer is a hit and the report is bit-identical to
+    // the evaluation that produced `out.reward`.
+    let cost = out.as_ref().and_then(|out| score(&out.subnet.to_network()));
+    engine.cache().record(&memo);
+    let (out, cost) = (out?, cost?);
     let area_um2 = AreaModel::default().area_mm2(accel) * 1e6;
     let objectives =
         ObjectiveVector::from_suite(std::slice::from_ref(&cost), area_um2, out.accuracy);
@@ -263,8 +259,7 @@ pub fn joint_search_step(
     joint_search_step_with(state, |slots| {
         // Each candidate's whole NAS evolution is one parallel job. The
         // NAS seed is slot-derived (deterministic sampling schedule);
-        // the mapping searches inside use the engine cache with
-        // content-derived seeds, so cross-candidate reuse is sound.
+        // the mapping searches inside use content-derived seeds.
         parallel_map(engine.threads(), slots, |_idx, (slot, _, accel)| {
             evaluate_joint_candidate(
                 engine,

@@ -20,10 +20,10 @@
 //!
 //! Every loop executes through the [`engine`] module's
 //! [`CoSearchEngine`] (the `naas-engine` subsystem): work-stealing
-//! parallel candidate evaluation, a shared content-addressed cache of
-//! per-layer mapping results, and serializable search state with
+//! parallel candidate evaluation, a per-candidate content-addressed memo
+//! of per-layer mapping results, and serializable search state with
 //! checkpoint/resume ([`AccelSearchState`]). Results are bit-identical
-//! at any thread count, cold or warm cache.
+//! at any thread count.
 //!
 //! ```no_run
 //! use naas::prelude::*;
@@ -43,7 +43,6 @@ pub mod distributed;
 pub mod engine;
 pub mod gateway;
 pub mod joint;
-pub mod layer_cache;
 pub mod mapping_search;
 pub mod pareto;
 pub mod pipeline;

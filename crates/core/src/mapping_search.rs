@@ -7,11 +7,10 @@
 //! PE-level order.
 
 use crate::engine::MappingMemo;
-use crate::layer_cache::LayerCache;
 use crate::pipeline::EvalPipeline;
 use naas_accel::Accelerator;
 use naas_cost::{CostModel, LayerCost, NetworkCost};
-use naas_engine::LayerKey;
+use naas_engine::{LayerKey, MemoCounters};
 use naas_ir::{ConvSpec, Network};
 use naas_mapping::Mapping;
 use naas_opt::{CemEs, EncodingScheme, EsConfig, MappingEncoder, Optimizer, RandomSearch};
@@ -168,88 +167,107 @@ pub fn search_layer_mapping_with(
 /// layer shape) and returns the aggregate cost, or `None` if any layer
 /// has no valid mapping on this design.
 ///
-/// Memoization is local to this call; population-scale searches go
-/// through [`network_mapping_search_cached`] instead, which shares
-/// results across candidates, generations and searches.
+/// Every layer searches with `cfg.seed` itself; the co-search goes
+/// through [`network_mapping_search_cached`] instead, whose per-layer
+/// seeds are content-derived ([`layer_search_seed`]).
 pub fn network_mapping_search(
     model: &CostModel,
     network: &Network,
     accel: &Accelerator,
     cfg: &MappingSearchConfig,
 ) -> Option<NetworkCost> {
-    let mut cache: LayerCache<Option<MappingSearchResult>> = LayerCache::new();
+    let mut memo = MappingMemo::new();
     let mut layers = Vec::with_capacity(network.len());
     for layer in network {
-        let result = cache
-            .get_or_insert_with(layer, || search_layer_mapping(model, layer, accel, cfg))
+        let result = memo
+            .get_or_compute(LayerKey::of(layer), || {
+                search_layer_mapping(model, layer, accel, cfg)
+            })
             .as_ref()?;
         layers.push(result.cost);
     }
     Some(NetworkCost { layers })
 }
 
-/// Identity of a design point in the shared memo cache: the accelerator
-/// plus the *entire* inner-search configuration (budget, encoding, base
-/// seed). Two evaluations share cache entries exactly when this
-/// fingerprint — and therefore the full inner-search behaviour — agrees.
+/// Identity of a design point for seed derivation: the accelerator plus
+/// the *entire* inner-search configuration (budget, encoding, base
+/// seed). Two evaluations search a layer shape identically exactly when
+/// this fingerprint agrees.
 pub fn design_fingerprint(accel: &Accelerator, cfg: &MappingSearchConfig) -> u64 {
     naas_engine::fingerprint(&(accel, cfg))
 }
 
-/// The seed the inner search uses for one layer of one design under the
-/// shared cache: derived from content (base seed × design fingerprint ×
-/// layer-shape fingerprint), never from slot/generation/thread indices.
-/// This is what makes the shared cache sound *and* makes results
-/// identical at any thread count, cold or warm.
+/// The seed the inner search uses for one layer of one design: derived
+/// from content (base seed × design fingerprint × layer-shape
+/// fingerprint), never from slot/generation/thread indices. This is
+/// what makes memoization sound and results identical at any thread
+/// count, on any worker.
 pub fn layer_search_seed(base_seed: u64, design_fp: u64, key: &LayerKey) -> u64 {
     naas_engine::derive_seed(base_seed, design_fp, key.fingerprint())
 }
 
-/// [`network_mapping_search`] through a shared [`MappingMemo`]: per-layer
-/// results are reused across every candidate, generation and search that
-/// shares the cache. Returns `None` if any layer has no valid mapping on
-/// this design (negative results are cached too).
+/// The content-seeded mapping search of one layer shape on one design —
+/// the unit of work behind every memo entry, and the whole of a
+/// `joint_unit` shard entry. `design_fp` must be
+/// `design_fingerprint(accel, cfg)`.
+pub fn search_layer_seeded(
+    model: &CostModel,
+    layer: &ConvSpec,
+    accel: &Accelerator,
+    cfg: &MappingSearchConfig,
+    design_fp: u64,
+) -> Option<MappingSearchResult> {
+    let seeded = MappingSearchConfig {
+        seed: layer_search_seed(cfg.seed, design_fp, &LayerKey::of(layer)),
+        ..*cfg
+    };
+    search_layer_mapping(model, layer, accel, &seeded)
+}
+
+/// [`network_mapping_search`] with content-derived per-layer seeds, one
+/// memo for this call, and its hit/miss counts recorded into `cache`
+/// (an engine's totals, [`crate::CoSearchEngine::cache`]). Returns `None`
+/// if any layer has no valid mapping on this design.
 pub fn network_mapping_search_cached(
     model: &CostModel,
     network: &Network,
     accel: &Accelerator,
     cfg: &MappingSearchConfig,
-    cache: &MappingMemo,
+    cache: &MemoCounters,
 ) -> Option<NetworkCost> {
-    network_mapping_search_memo(
+    let mut memo = MappingMemo::new();
+    let cost = network_mapping_search_memo(
         model,
         network,
         accel,
         cfg,
-        cache,
+        &mut memo,
         design_fingerprint(accel, cfg),
-    )
+    );
+    cache.record(&memo);
+    cost
 }
 
-/// [`network_mapping_search_cached`] with the design fingerprint
-/// precomputed — callers that evaluate one design many times (several
-/// networks per candidate, thousands of subnets in a NAS evolution)
-/// hoist the serialization+hash out of the hot loop. `design_fp` must be
-/// `design_fingerprint(accel, cfg)` for the cache to be sound.
+/// [`network_mapping_search_cached`] through a caller-owned memo — the
+/// form a candidate evaluation uses to share one memo across all its
+/// networks or subnets. `design_fp` must be
+/// `design_fingerprint(accel, cfg)`, and `memo` must only ever see this
+/// design.
 pub fn network_mapping_search_memo(
     model: &CostModel,
     network: &Network,
     accel: &Accelerator,
     cfg: &MappingSearchConfig,
-    cache: &MappingMemo,
+    memo: &mut MappingMemo,
     design_fp: u64,
 ) -> Option<NetworkCost> {
-    let fp = design_fp;
     let mut layers = Vec::with_capacity(network.len());
     for layer in network {
-        let key = LayerKey::of(layer);
-        let result = cache.get_or_compute(fp, key, || {
-            let seeded = MappingSearchConfig {
-                seed: layer_search_seed(cfg.seed, fp, &key),
-                ..*cfg
-            };
-            search_layer_mapping(model, layer, accel, &seeded)
-        })?;
+        let result = memo
+            .get_or_compute(LayerKey::of(layer), || {
+                search_layer_seeded(model, layer, accel, cfg, design_fp)
+            })
+            .as_ref()?;
         layers.push(result.cost);
     }
     Some(NetworkCost { layers })

@@ -1,15 +1,16 @@
-//! The batch-evaluation service: a warm [`CoSearchEngine`] serving
+//! The batch-evaluation service: a resident [`CoSearchEngine`] serving
 //! JSON-line requests (`naas-search serve`).
 //!
-//! The NAAS cost oracle amortizes: the same `(design, layer-shape)`
-//! mapping results recur across candidates, generations and sweeps, so a
-//! *long-running* process with a shared content-addressed cache answers
-//! most traffic without recomputing anything. [`BatchEvalService`] keeps
-//! exactly one engine resident — the shared [`MemoCache`] and the
-//! work-stealing pool; evaluation runs through thread-local
-//! `EvalPipeline`s, recycled across every request of a coalesced batch
-//! (a persistent cross-batch worker pool is future work) — and exposes
-//! the library's evaluation entry points as service commands:
+//! A resident process saves startup, scenario resolution and pipeline
+//! allocation on every request. [`BatchEvalService`] keeps exactly one
+//! engine resident — the work-stealing pool and the engine's memo
+//! totals; evaluation runs through thread-local `EvalPipeline`s,
+//! recycled across every request of a coalesced batch (a persistent
+//! cross-batch worker pool is future work) — and exposes the library's
+//! evaluation entry points as service commands. Mapping results are
+//! *not* kept between requests: each candidate evaluation owns a memo
+//! that dies with it (a layer-shape hit never crosses a candidate), so
+//! a week-long worker stays at flat memory with no cap to tune.
 //!
 //! | command          | answers                                             |
 //! |------------------|-----------------------------------------------------|
@@ -20,32 +21,28 @@
 //! | `evaluate_batch` | a population of mappings via `CostModel::evaluate_batch` |
 //! | `evaluate_shard` | a shard of outer-search candidates (the distributed fan-out primitive; accel or joint mode) |
 //! | `search_step`    | one generation of a serialized accel or joint search state |
-//! | `cache_stats`    | the shared cache's counters                         |
+//! | `cache_stats`    | the engine's memo hit/miss totals                   |
 //! | `metrics`        | a full process telemetry snapshot ([`naas_engine::telemetry`]) |
-//! | `shutdown`       | acknowledges, then the server drains and persists   |
+//! | `shutdown`       | acknowledges, then the server drains and exits      |
 //!
-//! Mapping results stay in the cache of the worker that computed them;
-//! an `evaluate_shard` reply reports that cache's counters
-//! (`cache_stats`) so a coordinator can sum its fleet's cache traffic.
+//! An `evaluate_shard` reply reports the worker's memo totals
+//! (`cache_stats`) so a coordinator can sum its fleet's memo traffic.
 //! The full wire spec is `docs/PROTOCOL.md`.
 //!
 //! Concurrent in-flight requests are coalesced by the engine's
 //! [`Batcher`] and fanned out over the pool in one `parallel_map` call
 //! per batch ([`ServiceServer`]), so service throughput rides the same
 //! batched pipeline as an in-process population evaluation. Because
-//! every answer is a pure function of the request (content-addressed
-//! cache, content-derived seeds), a served response is **bit-identical**
-//! to the equivalent direct library call, at any concurrency, cold or
-//! warm.
+//! every answer is a pure function of the request (content-derived
+//! seeds), a served response is **bit-identical** to the equivalent
+//! direct library call, at any concurrency.
 //!
 //! A panicking request handler is contained by `catch_unwind` and
 //! reported as an error response — one bad request must not abort a
 //! process other clients are sharing.
-//!
-//! [`MemoCache`]: naas_engine::MemoCache
 
 use crate::accel_search::{self, AccelSearchState};
-use crate::engine::CoSearchEngine;
+use crate::engine::{CoSearchEngine, MappingMemo};
 use crate::mapping_search::{self, MappingSearchConfig};
 use crate::reward::RewardKind;
 use naas_accel::Accelerator;
@@ -61,7 +58,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 
 /// Why a request could not be answered. Every variant maps to an error
@@ -97,18 +93,9 @@ impl std::error::Error for ServiceError {}
 pub struct ServiceConfig {
     /// Worker threads for batch fan-out (`0` = all cores).
     pub threads: usize,
-    /// The inner mapping-search budget every request is answered with.
-    /// Part of the cache key: all requests sharing a config share cache
-    /// entries.
+    /// The inner mapping-search budget every request is answered with
+    /// (unless a request overrides it).
     pub mapping: MappingSearchConfig,
-    /// Persist the shared cache here on shutdown (and warm-load it on
-    /// startup when the file exists).
-    pub cache_file: Option<PathBuf>,
-    /// Bound the shared memo cache to this many resident entries
-    /// (`0` = unbounded) — `--cache-cap` on the CLI. A long-lived
-    /// worker in a week-long fleet should set this; eviction costs
-    /// recomputation, never correctness.
-    pub cache_cap: usize,
     /// Artificial per-candidate delay (microseconds) injected into
     /// `evaluate_shard`, serialized across concurrent requests so the
     /// whole worker slows down like a genuinely underpowered machine.
@@ -135,8 +122,8 @@ pub const CAPABILITIES: &[&str] = &[
 
 /// What the stream/batcher plumbing ([`ServiceServer`]) needs from a
 /// service: answer one framed request line, size the batch fan-out, and
-/// persist state on graceful shutdown. [`BatchEvalService`] is the base
-/// implementation; [`crate::gateway::GatewayService`] layers the job
+/// run a shutdown hook. [`BatchEvalService`] is the base implementation;
+/// [`crate::gateway::GatewayService`] layers the job
 /// commands on top and reuses every byte of the server plumbing —
 /// stream framing, coalescing, ordered writes, listener lifecycle —
 /// unchanged.
@@ -147,12 +134,17 @@ pub trait WireService: Send + Sync + 'static {
     fn answer(&self, parsed: &Result<Request, ParseFailure>) -> String;
     /// Worker threads for the scheduler's batch fan-out.
     fn threads(&self) -> usize;
-    /// Persists durable state (the memo cache) on graceful shutdown.
+    /// Shutdown hook, called once the server has drained. The built-in
+    /// services hold no durable state (memos die with their candidate),
+    /// so the default does nothing; the name is kept for existing
+    /// implementors.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying checkpoint write failure.
-    fn persist_cache(&self) -> Result<(), CheckpointError>;
+    /// An implementor's own persistence failure.
+    fn persist_cache(&self) -> Result<(), CheckpointError> {
+        Ok(())
+    }
 }
 
 impl WireService for BatchEvalService {
@@ -163,13 +155,9 @@ impl WireService for BatchEvalService {
     fn threads(&self) -> usize {
         BatchEvalService::threads(self)
     }
-
-    fn persist_cache(&self) -> Result<(), CheckpointError> {
-        BatchEvalService::persist_cache(self)
-    }
 }
 
-/// A resident evaluation service over one warm [`CoSearchEngine`]. See
+/// A resident evaluation service over one [`CoSearchEngine`]. See
 /// the module docs for the protocol.
 ///
 /// # Examples
@@ -234,27 +222,30 @@ struct LayerParams {
 }
 
 impl LayerParams {
-    fn build(&self) -> Result<ConvSpec, ServiceError> {
-        let kind = self.kind.unwrap_or({
-            if (self.kernel_r, self.kernel_s) == (1, 1) {
+    /// Decodes and validates the layer object of parameter `field`.
+    fn parse(value: &Value, field: &str) -> Result<ConvSpec, ServiceError> {
+        let params: LayerParams = serde_json::from_value(value)
+            .map_err(|e| ServiceError::BadRequest(format!("invalid {field} object: {e}")))?;
+        let kind = params.kind.unwrap_or({
+            if (params.kernel_r, params.kernel_s) == (1, 1) {
                 ConvKind::Pointwise
             } else {
                 ConvKind::Standard
             }
         });
         ConvSpec::new(
-            self.name.clone().unwrap_or_else(|| "layer".to_string()),
+            params.name.unwrap_or_else(|| "layer".to_string()),
             kind,
-            self.batch.unwrap_or(1),
-            self.in_channels,
-            self.out_channels,
-            (self.in_y, self.in_x),
-            (self.kernel_r, self.kernel_s),
-            self.stride,
-            self.padding,
-            self.groups.unwrap_or(1),
+            params.batch.unwrap_or(1),
+            params.in_channels,
+            params.out_channels,
+            (params.in_y, params.in_x),
+            (params.kernel_r, params.kernel_s),
+            params.stride,
+            params.padding,
+            params.groups.unwrap_or(1),
         )
-        .map_err(|e| ServiceError::BadRequest(format!("invalid layer: {e}")))
+        .map_err(|e| ServiceError::BadRequest(format!("invalid {field}: {e}")))
     }
 }
 
@@ -268,37 +259,23 @@ fn layer_cost_value(cost: &LayerCost) -> Value {
 }
 
 impl BatchEvalService {
-    /// Creates the service; when `config.cache_file` names an existing
-    /// file, its entries are warm-loaded into the shared cache
-    /// (content-addressed, so warming never changes any answer).
+    /// Creates the service.
     ///
     /// # Errors
     ///
-    /// Propagates a cache file that exists but cannot be read/decoded —
-    /// starting with silently dropped warm state would be worse.
+    /// None today: the service loads no state at startup. The `Result`
+    /// is kept for existing callers.
     pub fn new(config: ServiceConfig) -> Result<Self, CheckpointError> {
-        let service = BatchEvalService {
+        Ok(BatchEvalService {
             engine: CoSearchEngine::new(config.threads),
             model: CostModel::new(),
             config,
             resolved_scenarios: std::sync::Mutex::new(BTreeMap::new()),
             delay_gate: std::sync::Mutex::new(()),
-        };
-        // Cap before warm-loading, so an oversized cache file is
-        // trimmed on absorption instead of ballooning at startup.
-        service
-            .engine
-            .cache()
-            .set_entry_cap(service.config.cache_cap);
-        if let Some(path) = &service.config.cache_file {
-            if path.exists() {
-                service.engine.cache().load_from(path)?;
-            }
-        }
-        Ok(service)
+        })
     }
 
-    /// The resident engine (shared cache, resolved worker count).
+    /// The resident engine (memo totals, resolved worker count).
     pub fn engine(&self) -> &CoSearchEngine {
         &self.engine
     }
@@ -306,20 +283,6 @@ impl BatchEvalService {
     /// Worker threads used for batch fan-out.
     pub fn threads(&self) -> usize {
         self.engine.threads()
-    }
-
-    /// Persists the shared cache to the configured `cache_file`, if any.
-    /// Called by the server on graceful shutdown; safe to call at any
-    /// cadence (atomic, durable writes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying checkpoint write failure.
-    pub fn persist_cache(&self) -> Result<(), CheckpointError> {
-        match &self.config.cache_file {
-            Some(path) => self.engine.cache().save_to(path),
-            None => Ok(()),
-        }
     }
 
     /// Answers one raw request line with one response line. Panics
@@ -418,26 +381,21 @@ impl BatchEvalService {
         ]))
     }
 
-    /// `cache_stats`: the engine cache's own counters, extended with the
-    /// fields the cache always computed but never exposed over the wire
-    /// (`evictions`, `hit_rate`). Purely additive over the protocol-2
-    /// shape — old clients keep reading `hits`/`misses`/`entries`.
+    /// `cache_stats`: the engine's memo totals plus the derived
+    /// `hit_rate`. `entries` is 0 between requests: every memo dies with
+    /// its candidate.
     fn cache_stats(&self) -> Value {
         let stats = self.engine.cache_stats();
         Value::Object(vec![
             ("hits".to_string(), Value::U64(stats.hits)),
             ("misses".to_string(), Value::U64(stats.misses)),
             ("entries".to_string(), Value::U64(stats.entries)),
-            (
-                "evictions".to_string(),
-                Value::U64(self.engine.cache().evictions()),
-            ),
             ("hit_rate".to_string(), Value::F64(stats.hit_rate())),
         ])
     }
 
     /// `metrics`: one point-in-time snapshot of the process-global
-    /// telemetry registry plus this engine's cache counters — the
+    /// telemetry registry plus this engine's memo counters — the
     /// machine-readable health probe behind `naas-search client metrics`.
     /// Gated by the `"metrics"` capability string (additive; no
     /// `PROTOCOL_VERSION` bump).
@@ -526,10 +484,10 @@ impl BatchEvalService {
     /// (`{"population": N, "iterations": N}`, either field alone is
     /// fine).
     ///
-    /// Overrides never pollute the shared cache: the whole
-    /// [`MappingSearchConfig`] is part of the design fingerprint
-    /// (`mapping_search::design_fingerprint`), so requests with different
-    /// budgets read and write disjoint cache keys.
+    /// The whole [`MappingSearchConfig`] is part of the design
+    /// fingerprint (`mapping_search::design_fingerprint`) that seeds the
+    /// inner searches, so an override answers exactly what a direct
+    /// library call with that config would.
     fn mapping_config(&self, request: &Request) -> Result<MappingSearchConfig, ServiceError> {
         let mut cfg = self.config.mapping;
         if let Some(seed) = request.param("seed") {
@@ -568,13 +526,11 @@ impl BatchEvalService {
         let value = request
             .param("layer")
             .ok_or_else(|| ServiceError::BadRequest("`layer` (object) is required".into()))?;
-        let params: LayerParams = serde_json::from_value(value)
-            .map_err(|e| ServiceError::BadRequest(format!("invalid layer object: {e}")))?;
-        params.build()
+        LayerParams::parse(value, "layer")
     }
 
     /// `score_design`: one design against one scenario's benchmark
-    /// suite, through the shared cache — the same call path (and
+    /// suite through one memo for the request — the same call path (and
     /// therefore bit-identical results) as
     /// [`mapping_search::network_mapping_search_cached`].
     fn score_design(&self, request: &Request) -> Result<Value, ServiceError> {
@@ -582,16 +538,46 @@ impl BatchEvalService {
         let design = self.resolve_design(request, Some(&job.baseline))?;
         let cfg = self.mapping_config(request)?;
         let design_fp = mapping_search::design_fingerprint(&design, &cfg);
+        let mut memo = MappingMemo::new();
+        let scored = self.score_networks(&job, &design, &cfg, &mut memo, design_fp);
+        self.engine.cache().record(&memo);
+        let (per_network, edps) = scored?;
+        let reward = RewardKind::Geomean.aggregate(&edps);
+        Ok(Value::Object(vec![
+            ("design".to_string(), Value::Str(design.name().to_string())),
+            (
+                "scenario".to_string(),
+                Value::Str(job.scenario.name.clone()),
+            ),
+            ("reward".to_string(), Value::F64(reward)),
+            (
+                "within_envelope".to_string(),
+                Value::Bool(job.constraint.admits(&design).is_ok()),
+            ),
+            ("per_network".to_string(), Value::Array(per_network)),
+        ]))
+    }
 
+    /// The per-network half of [`Self::score_design`]: one report and
+    /// one EDP per suite network, or the first network the design cannot
+    /// map.
+    fn score_networks(
+        &self,
+        job: &naas_engine::EvalJob,
+        design: &Accelerator,
+        cfg: &MappingSearchConfig,
+        memo: &mut MappingMemo,
+        design_fp: u64,
+    ) -> Result<(Vec<Value>, Vec<f64>), ServiceError> {
         let mut per_network = Vec::with_capacity(job.networks.len());
         let mut edps = Vec::with_capacity(job.networks.len());
         for (spec, network) in job.scenario.networks.iter().zip(&job.networks) {
             let cost = mapping_search::network_mapping_search_memo(
                 &self.model,
                 network,
-                &design,
-                &cfg,
-                self.engine.cache(),
+                design,
+                cfg,
+                memo,
                 design_fp,
             )
             .ok_or_else(|| {
@@ -609,20 +595,7 @@ impl BatchEvalService {
                 ("energy_pj".to_string(), Value::F64(cost.energy_pj())),
             ]));
         }
-        let reward = RewardKind::Geomean.aggregate(&edps);
-        Ok(Value::Object(vec![
-            ("design".to_string(), Value::Str(design.name().to_string())),
-            (
-                "scenario".to_string(),
-                Value::Str(job.scenario.name.clone()),
-            ),
-            ("reward".to_string(), Value::F64(reward)),
-            (
-                "within_envelope".to_string(),
-                Value::Bool(job.constraint.admits(&design).is_ok()),
-            ),
-            ("per_network".to_string(), Value::Array(per_network)),
-        ]))
+        Ok((per_network, edps))
     }
 
     /// `search_layer`: the inner mapping search for one layer on one
@@ -859,55 +832,53 @@ impl BatchEvalService {
 
     /// The sub-candidate joint mode of [`Self::evaluate_shard`]
     /// (`joint_unit` parameter, gated on the `joint_unit` capability):
-    /// each entry of the shard is one **work unit** — one subnet mapped
-    /// onto one accelerator design (`candidates[i]` pairs with
-    /// `joint_unit.subnets[i]`; a design repeats once per unit that
+    /// each entry of the shard is one **work unit** — one layer shape
+    /// mapped onto one accelerator design (`candidates[i]` pairs with
+    /// `joint_unit.layers[i]`; a design repeats once per unit that
     /// targets it, keeping the candidates/results cardinality contract
-    /// of the wire format intact). The worker runs only the inner
-    /// mapping search — the NAS evolution consuming these scores lives
-    /// on the coordinator — and answers the raw [`naas_cost::NetworkCost`] per
-    /// unit (`null` = no feasible mapping). Content-derived seeds make
-    /// each unit a pure function of `(design, subnet, mapping config)`,
-    /// so where a unit lands never changes its answer.
+    /// of the wire format intact). The worker runs only the seeded
+    /// mapping search ([`mapping_search::search_layer_seeded`]) — the NAS
+    /// evolution and the candidate's layer memo live on the coordinator
+    /// — and answers the unit's [`LayerCost`] (`null` = no feasible
+    /// mapping). Each unit is a pure function of `(design, layer shape,
+    /// mapping config)`, so where it lands never changes its answer.
+    /// Layers are validated like `search_layer`'s `layer` parameter.
     fn evaluate_joint_unit_shard(
         &self,
         joint_unit: &Value,
         candidates: &[Accelerator],
         mapping: &MappingSearchConfig,
     ) -> Result<Vec<Value>, ServiceError> {
-        let subnets: Vec<naas_nas::Subnet> =
-            serde_json::from_value(joint_unit.get("subnets").ok_or_else(|| {
+        let layers = joint_unit
+            .get("layers")
+            .and_then(Value::as_array)
+            .ok_or_else(|| {
                 ServiceError::BadRequest(
-                    "`joint_unit.subnets` (one subnet per candidate) is required".into(),
+                    "`joint_unit.layers` (one layer object per candidate) is required".into(),
                 )
-            })?)
-            .map_err(|e| {
-                ServiceError::BadRequest(format!("invalid joint_unit.subnets array: {e}"))
             })?;
-        if subnets.len() != candidates.len() {
+        if layers.len() != candidates.len() {
             return Err(ServiceError::BadRequest(format!(
-                "joint_unit.subnets/candidates length mismatch: {} vs {}",
-                subnets.len(),
+                "joint_unit.layers/candidates length mismatch: {} vs {}",
+                layers.len(),
                 candidates.len()
             )));
         }
-        let units: Vec<(&Accelerator, naas_nas::Subnet)> = candidates.iter().zip(subnets).collect();
-        let results = parallel_map(self.threads(), &units, |_idx, (accel, subnet)| {
+        let layers = layers
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| LayerParams::parse(layer, &format!("joint_unit.layers[{i}]")))
+            .collect::<Result<Vec<ConvSpec>, _>>()?;
+        let units: Vec<(&Accelerator, ConvSpec)> = candidates.iter().zip(layers).collect();
+        let results = parallel_map(self.threads(), &units, |_idx, (accel, layer)| {
             let design_fp = mapping_search::design_fingerprint(accel, mapping);
-            mapping_search::network_mapping_search_memo(
-                &self.model,
-                &subnet.to_network(),
-                accel,
-                mapping,
-                self.engine.cache(),
-                design_fp,
-            )
+            mapping_search::search_layer_seeded(&self.model, layer, accel, mapping, design_fp)
         });
         Ok(results
             .iter()
-            .map(|cost| match cost {
+            .map(|result| match result {
                 None => Value::Null,
-                Some(cost) => serde_json::to_value(cost),
+                Some(result) => serde_json::to_value(&result.cost),
             })
             .collect())
     }
@@ -1245,11 +1216,11 @@ impl<S: WireService> ServiceServer<S> {
     }
 
     /// Stops accepting work, drains the queue, joins the scheduler and
-    /// persists the service cache.
+    /// runs the service's shutdown hook ([`WireService::persist_cache`]).
     ///
     /// # Errors
     ///
-    /// Propagates a cache-file write failure.
+    /// Propagates the shutdown hook's failure.
     pub fn stop(mut self) -> Result<(), CheckpointError> {
         self.batcher.close();
         if let Some(handle) = self.scheduler.take() {

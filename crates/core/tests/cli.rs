@@ -32,8 +32,8 @@ fn assert_refused(args: &[&str], needles: &[&str]) {
 }
 
 /// An option no command reads is refused, not silently dropped: the
-/// retired `--overlap`, a typo of a real flag, and a real flag given to
-/// a command that does not take it. `--microshards 0`, which once
+/// retired `--overlap`, `--cache-cap` and `--cache-file`, a typo of a
+/// real flag, and a real flag given to a command that does not take it. `--microshards 0`, which once
 /// selected the static plan, is refused with a message saying so.
 #[test]
 fn unknown_options_exit_non_zero_and_name_the_flag() {
@@ -53,6 +53,26 @@ fn unknown_options_exit_non_zero_and_name_the_flag() {
         &["--microshard"],
     );
     assert_refused(&["gateway", "--checkpoint", "x.ckpt"], &["--checkpoint"]);
+    // The retired memo-cache options, on every command that took them.
+    assert_refused(
+        &[
+            "run",
+            "cifar-eyeriss",
+            "--preset",
+            "smoke",
+            "--cache-cap",
+            "5",
+        ],
+        &["--cache-cap"],
+    );
+    assert_refused(
+        &["resume", "x.ckpt", "--cache-file", "x"],
+        &["--cache-file"],
+    );
+    for command in ["serve", "worker", "gateway"] {
+        assert_refused(&[command, "--cache-cap", "5"], &["--cache-cap"]);
+        assert_refused(&[command, "--cache-file", "x"], &["--cache-file"]);
+    }
     assert_refused(
         &[
             "run",
@@ -72,8 +92,6 @@ fn spawn_worker() -> String {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file to load");

@@ -1,12 +1,13 @@
 //! Stable content fingerprints and seed derivation.
 //!
-//! The memo cache is *content-addressed*: a design point is identified by
+//! Memoization is *content-addressed*: a design point is identified by
 //! a fingerprint of its serialized form, not by where in the population
 //! (slot, generation, thread) it happened to be sampled. Seeds for inner
 //! searches are then derived from fingerprints, which is the property
-//! that makes caching sound: two encounters of the same (design, layer)
-//! pair run — or reuse — the *identical* inner search, so a warm cache,
-//! a cold cache, one thread or sixteen all produce bit-identical results.
+//! that makes memoization sound: two encounters of the same (design,
+//! layer) pair run — or reuse — the *identical* inner search, so one
+//! thread or sixteen, one process or a fleet, all produce bit-identical
+//! results.
 //!
 //! Hashes are FNV-1a over canonical JSON: deterministic across runs,
 //! processes and machines (unlike `DefaultHasher`, whose keys are

@@ -7,13 +7,12 @@
 //! * [`pool`] — a work-stealing parallel evaluator returning results in
 //!   job order, so every caller is deterministic by construction at any
 //!   thread count (`0` = all cores);
-//! * [`cache`] — a concurrent two-level content-addressed memo cache,
-//!   design fingerprint × [`cache::LayerKey`] → inner-search result,
-//!   shared across a population, across generations, and across whole
-//!   searches;
+//! * [`cache`] — a content-addressed memo, [`cache::LayerKey`] →
+//!   inner-search result, that lives exactly as long as one candidate
+//!   evaluation, plus the engine-wide hit/miss totals it folds into;
 //! * [`mod@fingerprint`] — stable content hashes and the content-derived
-//!   seeding rule that makes the cache sound (a cached result is a pure
-//!   function of its key);
+//!   seeding rule that makes memoization sound (a memoized result is a
+//!   pure function of its key);
 //! * [`checkpoint`] — atomic JSON save/load of serializable search
 //!   state, restoring searches bit-exactly after interruption;
 //! * [`scenario`] — declaratively registered evaluation workloads
@@ -39,17 +38,22 @@
 //! ```
 //! use naas_engine::prelude::*;
 //!
-//! // Order-preserving parallel evaluation with a shared memo cache.
-//! let cache: MemoCache<u64> = MemoCache::new();
+//! // Order-preserving parallel evaluation; each job owns a short-lived
+//! // memo and folds its counts into the shared totals when it ends.
+//! let totals = MemoCounters::default();
 //! let jobs: Vec<u64> = (0..32).collect();
 //! let results = parallel_map(0, &jobs, |_idx, &job| {
-//!     let key = LayerKey::of(
-//!         &naas_ir::ConvSpec::conv2d("l", 8, 8, (8, 8), (3, 3), 1, 1).unwrap(),
-//!     );
-//!     cache.get_or_compute(job % 4, key, || job % 4)
+//!     let mut memo: MemoCache<u64> = MemoCache::new();
+//!     let mut sum = 0;
+//!     for c in [8, 16, 8, 8] {
+//!         let layer = naas_ir::ConvSpec::conv2d("l", c, c, (8, 8), (3, 3), 1, 1).unwrap();
+//!         sum += *memo.get_or_compute(LayerKey::of(&layer), || job * c);
+//!     }
+//!     totals.record(&memo);
+//!     sum
 //! });
-//! assert_eq!(results.len(), 32);
-//! assert!(cache.stats().hit_rate() > 0.5);
+//! assert_eq!(results[1], 40);
+//! assert!((totals.stats().hit_rate() - 0.5).abs() < 1e-12);
 //! ```
 
 pub mod cache;
@@ -61,7 +65,7 @@ pub mod scenario;
 pub mod service;
 pub mod telemetry;
 
-pub use cache::{CacheSnapshot, CacheStats, LayerKey, MemoCache};
+pub use cache::{CacheStats, LayerKey, MemoCache, MemoCounters};
 pub use checkpoint::{CheckpointError, CheckpointPolicy};
 pub use fingerprint::{derive_seed, fingerprint};
 pub use pool::{parallel_map, resolve_threads};
@@ -72,7 +76,7 @@ pub use telemetry::{EventLog, Level, Metrics, MetricsSnapshot};
 
 /// Convenience re-exports for engine users.
 pub mod prelude {
-    pub use crate::cache::{CacheSnapshot, CacheStats, LayerKey, MemoCache};
+    pub use crate::cache::{CacheStats, LayerKey, MemoCache, MemoCounters};
     pub use crate::checkpoint::CheckpointPolicy;
     pub use crate::fingerprint::{derive_seed, fingerprint};
     pub use crate::pool::{parallel_map, resolve_threads};

@@ -51,12 +51,14 @@ use std::sync::{Condvar, Mutex};
 /// every `metrics` snapshot — the snapshot-shape change is what makes
 /// the bump required rather than additive, since a v4 reader of a
 /// serialized `MetricsSnapshot` rejects a v3 image that lacks the new
-/// required section. A
+/// required section. Version 5 made a `joint_unit` shard entry one
+/// layer shape (`joint_unit.layers`, answered by a `LayerCost`) instead
+/// of one subnet, and dropped `evictions` from the cache counters. A
 /// client and server interoperate only on an exact match — the
 /// distributed driver ships serialized configs and search states whose
 /// layout follows the crate types, so "close enough" versions are
 /// exactly the undefined behaviour the handshake exists to rule out.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// A parsed service request: the echoed `id`, the command name, and the
 /// full request object (commands read their parameters out of it).

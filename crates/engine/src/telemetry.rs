@@ -26,7 +26,7 @@
 //! Everything is dependency-free and vendored-workspace-compatible:
 //! the only imports are `std` and the in-repo serde shim.
 
-use crate::cache::MemoCache;
+use crate::cache::MemoCounters;
 use serde::{Deserialize, Serialize, Value};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,30 +325,28 @@ pub struct LabeledGauge {
     pub value: u64,
 }
 
-/// Memo-cache counters as exposed over the wire: the per-instance
-/// counters [`MemoCache`] already keeps, plus the derived hit rate.
+/// Memo counters as exposed over the wire: an engine's
+/// [`MemoCounters`] totals plus the derived hit rate.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CacheCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to compute.
     pub misses: u64,
-    /// Resident entries right now.
+    /// Resident entries right now (0 between evaluations: every memo
+    /// dies with its candidate).
     pub entries: u64,
-    /// Entries evicted by the `--cache-cap` CLOCK sweep.
-    pub evictions: u64,
     /// `hits / (hits + misses)`, 0.0 before the first lookup.
     pub hit_rate: f64,
 }
 
-/// Reads the counters of a [`MemoCache`] into a [`CacheCounters`].
-pub fn cache_counters<V>(cache: &MemoCache<V>) -> CacheCounters {
-    let stats = cache.stats();
+/// Reads an engine's [`MemoCounters`] into a [`CacheCounters`].
+pub fn cache_counters(counters: &MemoCounters) -> CacheCounters {
+    let stats = counters.stats();
     CacheCounters {
         hits: stats.hits,
         misses: stats.misses,
         entries: stats.entries,
-        evictions: cache.evictions(),
         hit_rate: stats.hit_rate(),
     }
 }
@@ -1028,7 +1026,6 @@ mod tests {
             hits: 10,
             misses: 5,
             entries: 12,
-            evictions: 3,
             hit_rate: 10.0 / 15.0,
         });
         let wire = serde_json::to_string(&snap).unwrap();

@@ -30,8 +30,6 @@ fn spawn_slow_worker(threads: usize, eval_delay_us: u64) -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us,
     })
     .expect("no cache file to load");
@@ -51,8 +49,6 @@ fn spawn_flaky_worker(fail_after: usize) -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file to load");
@@ -344,12 +340,12 @@ fn remote_search_step_reproduces_local_trajectory() {
     assert_eq!(remote.evaluations, local.evaluations);
 }
 
-/// Caches stay on their workers: every hit of an accelerator search is a
-/// repeated layer shape inside one candidate, and a candidate is
-/// evaluated whole on one worker. So the fleet-summed cache counters a
+/// Memos die with their candidate: every hit of an accelerator search is
+/// a repeated layer shape inside one candidate, and a candidate is
+/// evaluated whole on one worker. So the fleet-summed memo counters a
 /// distributed search records equal the single-process search's hits,
-/// misses and entries exactly — no reuse is lost by never relaying
-/// mapping results between workers.
+/// misses and (zero) entries exactly — no reuse is lost by never relaying
+/// or keeping mapping results.
 #[test]
 fn fleet_cache_stats_match_the_single_process_search() {
     let (scenario, networks) = scenario_fixture();
@@ -395,8 +391,6 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file to load");
@@ -446,8 +440,6 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
         let fresh = BatchEvalService::new(ServiceConfig {
             threads: 1,
             mapping: MappingSearchConfig::quick(7),
-            cache_file: None,
-            cache_cap: 0,
             eval_delay_us: 0,
         })
         .expect("no cache file to load");
@@ -964,17 +956,15 @@ fn v2_worker_is_rejected_as_incompatible() {
     );
 }
 
-/// A protocol-4 worker built before cache gossip was removed: a real
-/// serving stack whose `evaluate_shard` replies still carry a
-/// `cache_delta` (here, its whole cache) and no `cache_stats` — the
+/// A worker built before cache gossip was removed: a real serving stack
+/// whose `evaluate_shard` replies still carry a `cache_delta` (here, a
+/// snapshot-shaped object with one entry) and no `cache_stats` — the
 /// stand-in for a fleet that upgrades its coordinator before its
 /// workers.
 fn spawn_legacy_gossip_worker() -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file to load");
@@ -1005,7 +995,10 @@ fn spawn_legacy_gossip_worker() -> SocketAddr {
                             continue;
                         }
                         result.retain(|(k, _)| k != "cache_stats");
-                        let delta = serde_json::to_value(&service.engine().cache().snapshot());
+                        let delta = serde_json::parse_str(
+                            r#"{"entries": [[7, {"batch": 1, "in_channels": 8}, null]]}"#,
+                        )
+                        .unwrap();
                         result.push(("cache_delta".to_string(), delta));
                     }
                 }

@@ -25,8 +25,6 @@ fn inner_service(threads: usize, eval_delay_us: u64) -> Arc<BatchEvalService> {
         BatchEvalService::new(ServiceConfig {
             threads,
             mapping: MappingSearchConfig::quick(7),
-            cache_file: None,
-            cache_cap: 0,
             eval_delay_us,
         })
         .expect("no cache file to load"),

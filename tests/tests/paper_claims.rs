@@ -1,7 +1,10 @@
 //! Smoke-budget checks of each paper artifact's *qualitative* claim,
 //! via the shared experiment runners in `naas-bench`. Full-budget numbers
-//! live in EXPERIMENTS.md; these tests pin the direction of every result
-//! so regressions in the model or search are caught in CI.
+//! come from the `experiments` binary
+//! (`cargo run -p naas-bench --release --bin experiments -- all paper`);
+//! checking them against the paper's reported values is ROADMAP item 5.
+//! These tests pin the direction of every result so regressions in the
+//! model or search are caught in CI.
 
 use naas_bench::budget::{Budget, Preset};
 use naas_bench::experiments::*;

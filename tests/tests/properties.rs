@@ -142,8 +142,9 @@ proptest! {
     /// Sub-candidate `joint_unit` merging is order-independent: a NAS
     /// generation's units completing in any adversarial order — merged
     /// by unit index, exactly once each — and a memoized evaluator that
-    /// scores each distinct subnet once (the coordinator's per-candidate
-    /// dedup) both reproduce the in-order trajectory exactly.
+    /// scores each distinct subnet once (dedup by content, as the
+    /// coordinator's per-candidate layer memo does one level down) both
+    /// reproduce the in-order trajectory exactly.
     #[test]
     fn joint_unit_merge_is_order_independent(
         seed in 0u64..1_000,
@@ -202,7 +203,7 @@ proptest! {
             prop_assert_eq!(&results, &out_of_order);
             shuffled.absorb(&out_of_order);
 
-            // The coordinator's dedup: score each distinct subnet once.
+            // Content dedup: score each distinct subnet once.
             let deduped: Vec<Option<f64>> = pending
                 .iter()
                 .map(|s| {

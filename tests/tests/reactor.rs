@@ -25,8 +25,6 @@ fn spawn_worker(threads: usize, eval_delay_us: u64) -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us,
     })
     .expect("no cache file to load");
@@ -47,8 +45,6 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file to load");
@@ -93,8 +89,6 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
         let fresh = BatchEvalService::new(ServiceConfig {
             threads: 1,
             mapping: MappingSearchConfig::quick(7),
-            cache_file: None,
-            cache_cap: 0,
             eval_delay_us: 0,
         })
         .expect("no cache file to load");
@@ -121,10 +115,10 @@ fn search_cfg(seed: u64) -> AccelSearchConfig {
 /// the RNG-equivalence currency: two states are `==` only if the
 /// optimizer distributions, decoded populations, histories, archives
 /// and iteration counters all match, i.e. the RNG streams were
-/// consumed identically. `cache_stats` is zeroed first: where shards
-/// land (and re-issued duplicates) legitimately warm caches
-/// differently, and the paper's invariant is about the trajectory, not
-/// the memo hit rate.
+/// consumed identically. `cache_stats` is zeroed first: re-issued
+/// duplicate shards legitimately count their memo lookups twice, and
+/// the paper's invariant is about the trajectory, not the memo hit
+/// rate.
 fn run_local_state(cfg: &AccelSearchConfig, networks: &[Network]) -> naas::AccelSearchState {
     let scenario = scenario::find("cifar-eyeriss").unwrap();
     let job = scenario.resolve().unwrap();
@@ -287,11 +281,11 @@ fn overlap_pareto_front_stays_byte_identical() {
 
 /// A joint population below the fleet size (2 candidates on 3
 /// workers): generations shard below candidate granularity
-/// (`joint_unit` wire mode — one (candidate, subnet) unit per wave
+/// (`joint_unit` wire mode — one (candidate, layer shape) unit per wave
 /// slot, merged by unit index), and the matched (accelerator, subnet,
 /// accuracy, EDP) result is bit-identical to the single-process joint
-/// search. `joint_units > 0` proves the sub-candidate path actually
-/// carried the run.
+/// search, down to the memo hit/miss counts. `joint_units > 0` proves
+/// the sub-candidate path actually carried the run.
 #[test]
 fn overlap_joint_unit_sharding_matches_single_process() {
     let model = CostModel::new();
@@ -302,9 +296,9 @@ fn overlap_joint_unit_sharding_matches_single_process() {
     cfg.accel.mapping = MappingSearchConfig::quick(7);
     cfg.accel.threads = 1;
 
-    let engine = CoSearchEngine::new(1);
+    let local_engine = CoSearchEngine::new(1);
     let mut state = naas::joint_search_init(&envelope, &cfg);
-    while naas::joint_search_step(&engine, &model, &accuracy, &mut state) {}
+    while naas::joint_search_step(&local_engine, &model, &accuracy, &mut state) {}
     let local = state.into_result().expect("joint search finds a pair");
 
     let addrs = vec![
@@ -326,6 +320,12 @@ fn overlap_joint_unit_sharding_matches_single_process() {
     assert!(
         stats.joint_units > 0,
         "the sub-candidate path must have merged units, got {stats:?}"
+    );
+    // The coordinator's per-candidate layer memos are consulted in the
+    // single-process order, so even the memo counters match.
+    assert_eq!(
+        coordinator.fleet_cache_stats(&engine),
+        local_engine.cache_stats()
     );
 }
 

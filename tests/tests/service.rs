@@ -16,8 +16,6 @@ fn service(threads: usize) -> BatchEvalService {
     BatchEvalService::new(ServiceConfig {
         threads,
         mapping: MappingSearchConfig::quick(7),
-        cache_file: None,
-        cache_cap: 0,
         eval_delay_us: 0,
     })
     .expect("no cache file to load")
@@ -269,51 +267,10 @@ fn serve_stream_round_trip_in_order() {
     server.stop().expect("clean stop");
 }
 
-/// Cache persistence round-trip: a service that scored work persists its
-/// cache on stop; a fresh service warm-loads it, answers identically,
-/// and serves the repeat traffic without recomputing.
-#[test]
-fn persisted_cache_warms_next_service_with_identical_answers() {
-    let path = std::env::temp_dir().join(format!("naas-service-cache-{}.json", std::process::id()));
-    std::fs::remove_file(&path).ok();
-    let request =
-        r#"{"id":1,"cmd":"score_design","scenario":"cifar-eyeriss","design":"NVDLA-256"}"#;
-
-    let cold = BatchEvalService::new(ServiceConfig {
-        threads: 1,
-        mapping: MappingSearchConfig::quick(7),
-        cache_file: Some(path.clone()),
-        cache_cap: 0,
-        eval_delay_us: 0,
-    })
-    .unwrap();
-    let cold_answer = cold.respond(request);
-    let cold_misses = cold.engine().cache_stats().misses;
-    assert!(cold_misses > 0);
-    cold.persist_cache().unwrap();
-
-    let warm = BatchEvalService::new(ServiceConfig {
-        threads: 1,
-        mapping: MappingSearchConfig::quick(7),
-        cache_file: Some(path.clone()),
-        cache_cap: 0,
-        eval_delay_us: 0,
-    })
-    .unwrap();
-    let warm_answer = warm.respond(request);
-    assert_eq!(warm_answer, cold_answer, "warming never changes answers");
-    assert_eq!(
-        warm.engine().cache_stats().misses,
-        0,
-        "repeat traffic is answered entirely from the warmed cache"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
 /// Per-request `mapping_budget` overrides evaluate under their own
-/// budget *and* leave the shared cache unpolluted: the whole mapping
-/// config is part of the design fingerprint, so overridden requests
-/// read/write disjoint cache keys and the default-budget answer stays
+/// budget *and* leave later traffic unaffected: the whole mapping config
+/// is part of the design fingerprint that seeds the inner searches, and
+/// no memo outlives its request, so the default-budget answer stays
 /// byte-for-byte what a fresh service would produce.
 #[test]
 fn mapping_budget_override_does_not_pollute_shared_cache_keys() {
@@ -324,13 +281,12 @@ fn mapping_budget_override_does_not_pollute_shared_cache_keys() {
     // Overridden traffic first, then default traffic, on one service.
     let s = service(1);
     let overridden = result_of(&s.respond(override_request));
-    let entries_after_override = s.engine().cache_stats().entries;
-    assert!(entries_after_override > 0);
-    let default_answer = s.respond(baseline_request);
-    assert!(
-        s.engine().cache_stats().entries > entries_after_override,
-        "default-budget traffic must occupy its own cache keys, not reuse the override's"
+    assert_eq!(
+        s.engine().cache_stats().entries,
+        0,
+        "the memo died with the request"
     );
+    let default_answer = s.respond(baseline_request);
 
     // The default answer is exactly what a never-overridden service
     // computes; the overridden answer differs (a 4×1 budget finds a
@@ -410,9 +366,8 @@ fn unmappable_design_is_an_error_response() {
         .contains("cannot map"));
 }
 
-/// Wire compatibility after cache gossip's removal (still protocol 4):
-/// an `evaluate_shard` from an older coordinator may carry a `cache`
-/// snapshot. Unknown parameters are ignored, so the worker answers
+/// Wire compatibility after cache gossip's removal: an `evaluate_shard`
+/// from an older coordinator may carry a `cache` snapshot. Unknown parameters are ignored, so the worker answers
 /// exactly what the same request without it gets — the snapshot is not
 /// absorbed, and the reply reports the worker's own `cache_stats` and
 /// carries no `cache_delta`.
@@ -427,7 +382,9 @@ fn legacy_evaluate_shard_with_cache_snapshot_still_answers_correctly() {
     };
     let donor = service(1);
     let expected = result_of(&donor.respond(&request("")));
-    let snapshot = serde_json::to_string(&donor.engine().cache().snapshot()).unwrap();
+    // The retired snapshot format: `(design fingerprint, layer key,
+    // value)` triples.
+    let snapshot = r#"{"entries": [[7, {"batch": 1, "in_channels": 8}, null]]}"#;
 
     let s = service(1);
     let legacy = result_of(&s.respond(&request(&format!(r#","cache":{snapshot}"#))));
@@ -451,8 +408,8 @@ fn legacy_evaluate_shard_with_cache_snapshot_still_answers_correctly() {
 #[test]
 fn metrics_command_round_trips_a_full_snapshot() {
     let s = service(1);
-    // Populate the cache counters with one real evaluation first
-    // (`score_design` routes through the content-addressed cache).
+    // Populate the memo counters with one real evaluation first
+    // (`score_design` runs its mapping searches through a memo).
     result_of(
         &s.respond(
             r#"{"id":1,"cmd":"score_design","scenario":"cifar-eyeriss","design":"Eyeriss"}"#,
@@ -475,8 +432,8 @@ fn metrics_command_round_trips_a_full_snapshot() {
     }
     let snapshot: naas_engine::MetricsSnapshot =
         serde_json::from_value(&snapshot_value).expect("snapshot deserializes via the shim");
-    // The search above put at least one entry in this service's cache.
-    assert!(snapshot.cache.entries >= 1, "cache entries: {snapshot:?}");
+    // The search above consulted a memo, which died with the request.
+    assert_eq!(snapshot.cache.entries, 0, "cache entries: {snapshot:?}");
     assert!(snapshot.cache.hits + snapshot.cache.misses >= 1);
     assert!((0.0..=1.0).contains(&snapshot.cache.hit_rate));
     // Histogram invariant: bucket counts sum to the total observation count.
@@ -685,10 +642,10 @@ fn batcher_under_producer_and_consumer_stress_never_drops_or_duplicates() {
     assert_eq!(all, expected, "drain-all dropped or duplicated items");
 }
 
-/// `cache_stats` exposes the extended counter set: entries, evictions,
-/// and a derived hit rate alongside the original hits/misses.
+/// `cache_stats` exposes the memo totals with a derived hit rate, and
+/// `entries` is 0 between requests: no memo outlives its candidate.
 #[test]
-fn cache_stats_reports_entries_evictions_and_hit_rate() {
+fn cache_stats_reports_entries_and_hit_rate() {
     let s = service(1);
     result_of(
         &s.respond(
@@ -696,11 +653,102 @@ fn cache_stats_reports_entries_evictions_and_hit_rate() {
         ),
     );
     let stats = result_of(&s.respond(r#"{"id":2,"cmd":"cache_stats"}"#));
-    for key in ["hits", "misses", "entries", "evictions", "hit_rate"] {
+    for key in ["hits", "misses", "entries", "hit_rate"] {
         assert!(stats.get(key).is_some(), "cache_stats is missing {key}");
     }
-    assert!(stats.get("entries").unwrap().as_u64().unwrap() >= 1);
-    assert_eq!(stats.get("evictions").unwrap().as_u64(), Some(0));
+    assert!(stats.get("evictions").is_none(), "there is no eviction");
+    assert_eq!(stats.get("entries").unwrap().as_u64(), Some(0));
+    assert!(stats.get("misses").unwrap().as_u64().unwrap() >= 1);
     let hit_rate = stats.get("hit_rate").unwrap().as_f64().unwrap();
     assert!((0.0..=1.0).contains(&hit_rate));
+}
+
+/// No memo outlives its candidate: one service answers the same accel
+/// shard, whole-candidate joint shard and layer-unit shard twice. After
+/// every answer the engine holds no entries, and the second answer costs
+/// exactly the lookups the first did — nothing was kept to hit on.
+#[test]
+fn no_memo_outlives_its_candidate() {
+    let s = service(1);
+    let eyeriss = serde_json::to_string(&baselines::eyeriss()).unwrap();
+    let two = serde_json::to_string(&vec![baselines::eyeriss(), baselines::edge_tpu()]).unwrap();
+    let nas = serde_json::to_string(&naas_nas::NasConfig {
+        population: 4,
+        generations: 2,
+        seed: 3,
+        ..naas_nas::NasConfig::default()
+    })
+    .unwrap();
+    let layer = serde_json::to_string(&test_layer()).unwrap();
+    let requests = [
+        format!(
+            r#"{{"id":1,"cmd":"evaluate_shard","scenario":"cifar-eyeriss","candidates":{two}}}"#
+        ),
+        format!(
+            r#"{{"id":2,"cmd":"evaluate_shard","candidates":[{eyeriss}],"joint":{{"nas":{nas},"seeds":[11]}}}}"#
+        ),
+        format!(
+            r#"{{"id":3,"cmd":"evaluate_shard","candidates":[{eyeriss},{eyeriss}],"joint_unit":{{"layers":[{layer},{layer}]}}}}"#
+        ),
+    ];
+    for request in &requests {
+        let mut deltas = Vec::new();
+        let mut answers = Vec::new();
+        for _ in 0..2 {
+            let before = s.engine().cache_stats();
+            answers.push(result_of(&s.respond(request)).get("results").cloned());
+            let after = s.engine().cache_stats();
+            assert_eq!(after.entries, 0, "a memo outlived its candidate: {request}");
+            deltas.push((after.hits - before.hits, after.misses - before.misses));
+        }
+        assert_eq!(answers[0], answers[1], "{request}");
+        assert_eq!(
+            deltas[0], deltas[1],
+            "the repeat must cost the same: {request}"
+        );
+    }
+}
+
+/// `joint_unit` layers are validated like `search_layer`'s `layer`
+/// parameter, not blindly deserialized: a malformed layer, a missing
+/// `layers` array or a candidates/layers length mismatch is an error
+/// response naming the problem, never a panic.
+#[test]
+fn malformed_joint_unit_layers_get_error_responses() {
+    let s = service(1);
+    let eyeriss = serde_json::to_string(&baselines::eyeriss()).unwrap();
+    let zero_channels = layer_json().replace(r#""in_channels":16"#, r#""in_channels":0"#);
+    for (joint_unit, expected) in [
+        (
+            format!(r#"{{"layers":[{zero_channels}]}}"#),
+            "invalid joint_unit.layers[0]:",
+        ),
+        (
+            r#"{"layers":[{"in_channels":"sixteen"}]}"#.to_string(),
+            "invalid joint_unit.layers[0] object",
+        ),
+        (
+            r#"{"layers":[7]}"#.to_string(),
+            "invalid joint_unit.layers[0] object",
+        ),
+        (r#"{"subnets":[]}"#.to_string(), "`joint_unit.layers`"),
+        (
+            format!(r#"{{"layers":[{0},{0}]}}"#, layer_json()),
+            "length mismatch",
+        ),
+    ] {
+        let reply = parse(&s.respond(&format!(
+            r#"{{"id":5,"cmd":"evaluate_shard","candidates":[{eyeriss}],"joint_unit":{joint_unit}}}"#
+        )));
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{joint_unit}");
+        let error = reply.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains(expected), "{joint_unit}: {error}");
+        assert!(!error.contains("panic"), "{joint_unit}: {error}");
+    }
+    // A well-formed unit still answers one cost per unit.
+    let ok = result_of(&s.respond(&format!(
+        r#"{{"id":6,"cmd":"evaluate_shard","candidates":[{eyeriss}],"joint_unit":{{"layers":[{}]}}}}"#,
+        layer_json()
+    )));
+    assert_eq!(ok.get("count").and_then(Value::as_u64), Some(1));
 }
