@@ -1,9 +1,10 @@
 //! Machine-readable perf snapshot: re-runs the `mapping_throughput` and
 //! `service_throughput` benchmark workloads — plus a
-//! `distributed_throughput` straggler workload over a live in-process
-//! fleet and a `pareto_search` workload comparing scalar-objective and
-//! Pareto-archive search at the same seed and budget — with plain
-//! wall-clock timing and writes one JSON summary: the `BENCH_*.json`
+//! `mapping_draw_stages` split of one inner-search draw into its ask,
+//! decode and evaluate stages, a `distributed_throughput` straggler
+//! workload over a live in-process fleet and a `pareto_search` workload
+//! comparing scalar-objective and Pareto-archive search at the same
+//! seed and budget — and writes one JSON summary: the `BENCH_*.json`
 //! trajectory that future optimization PRs (surrogate pre-filter, SIMD
 //! hot path) are judged against.
 //!
@@ -14,13 +15,16 @@
 //! The default output path is the next free `BENCH_<n>.json` in the
 //! working directory (one past the highest existing number), and the
 //! summary's `bench` label is the output file's stem. Each measurement
-//! is the median of several timed iterations after a warmup pass —
+//! is the median of several timed iterations — wall-clock after a
+//! warmup pass, except `mapping_draw_stages`, which times thread CPU —
 //! noisier than criterion's estimator, but dependency-light and fast
 //! enough to run on every perf-relevant change.
 
+use naas::mapping_search::{design_fingerprint, layer_search_seed, search_layer_mapping_with};
 use naas::service::{BatchEvalService, ServiceConfig, ServiceServer};
-use naas::MappingSearchConfig;
-use naas_opt::{EncodingScheme, MappingEncoder, Optimizer, RandomSearch};
+use naas::{EvalPipeline, MappingSearchConfig};
+use naas_engine::LayerKey;
+use naas_opt::{CemEs, EncodingScheme, MappingEncoder, Optimizer, RandomSearch};
 use serde::Value;
 use std::net::TcpListener;
 use std::path::Path;
@@ -33,14 +37,20 @@ const POPULATION: usize = 64;
 /// one untimed warmup call.
 fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
     f();
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("elapsed times are finite"));
+    median(
+        (0..runs)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// The upper median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
     samples[samples.len() / 2]
 }
 
@@ -124,6 +134,232 @@ fn mapping_throughput() -> Value {
         Value::F64(batched_ms),
     ));
     Value::Object(fields)
+}
+
+/// Timed runs of the `mapping_draw_stages` workload; each stage reports
+/// the median of these.
+const STAGE_RUNS: usize = 5;
+/// Thread CPU each timed stage loop spends at least: the CPU clock
+/// below advances in scheduler ticks (4 ms at `HZ=250`), so a 200 ms
+/// window bounds the quantization error at ≈2%.
+const STAGE_MIN_CPU_NS: u64 = 200_000_000;
+
+/// On-CPU nanoseconds of the calling thread, from
+/// `/proc/thread-self/schedstat` (Linux only).
+fn thread_cpu_ns() -> u64 {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse().ok())
+        .expect("mapping_draw_stages reads /proc/thread-self/schedstat (Linux only)")
+}
+
+/// Thread-CPU µs per draw of `pass`, which makes `draws` draws per
+/// call; `pass` repeats until it has spent [`STAGE_MIN_CPU_NS`].
+fn cpu_us_per_draw(draws: usize, mut pass: impl FnMut()) -> f64 {
+    let start = thread_cpu_ns();
+    let mut passes = 0u64;
+    loop {
+        pass();
+        passes += 1;
+        let spent = thread_cpu_ns() - start;
+        if spent >= STAGE_MIN_CPU_NS {
+            return spent as f64 / 1e3 / (passes as f64 * draws as f64);
+        }
+    }
+}
+
+/// A [`CemEs`] that keeps every draw it hands out and the size of every
+/// batched ask: the exact draw stream of one layer search.
+struct RecordingEs {
+    inner: CemEs,
+    draws: Vec<Vec<f64>>,
+    rounds: Vec<usize>,
+}
+
+impl Optimizer for RecordingEs {
+    fn ask_into(&mut self, out: &mut Vec<f64>) {
+        self.inner.ask_into(out);
+        self.draws.push(out.clone());
+    }
+
+    fn ask_batch_into(&mut self, out: &mut [Vec<f64>]) {
+        self.rounds.push(out.len());
+        for slot in out {
+            self.ask_into(slot);
+        }
+    }
+
+    fn tell(&mut self, scored: &[(Vec<f64>, f64)]) {
+        self.inner.tell(scored);
+    }
+
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+}
+
+/// One layer shape's search inputs and the draws its search makes.
+struct LayerDraws {
+    layer: naas_ir::ConvSpec,
+    cfg: MappingSearchConfig,
+    draws: Vec<Vec<f64>>,
+    rounds: Vec<usize>,
+}
+
+/// Replays the generation loop of `search_layer_mapping_with` through a
+/// [`RecordingEs`], and checks that the real search makes as many draws
+/// (the pipeline's draw counter) as the replay recorded.
+fn record_layer(
+    pipeline: &mut EvalPipeline,
+    model: &naas_cost::CostModel,
+    accel: &naas_accel::Accelerator,
+    layer: naas_ir::ConvSpec,
+    cfg: MappingSearchConfig,
+) -> LayerDraws {
+    let encoder = MappingEncoder::new(accel.connectivity().ndim(), cfg.scheme);
+    let mut es = RecordingEs {
+        inner: CemEs::new(encoder.dim(), cfg.es, cfg.seed),
+        draws: Vec::new(),
+        rounds: Vec::new(),
+    };
+    // `best` never feeds back into the draws, so the replay skips the
+    // heuristic seed.
+    let mut best = None;
+    for _ in 0..cfg.iterations {
+        let outcome = pipeline.run_generation(
+            &mut es,
+            &encoder,
+            model,
+            &layer,
+            accel,
+            cfg.population,
+            cfg.resample_limit,
+            &mut best,
+        );
+        es.tell(pipeline.scored(outcome.scored));
+    }
+    let counter = &naas_engine::telemetry::metrics().pipeline.evaluations;
+    let before = counter.get();
+    search_layer_mapping_with(pipeline, model, &layer, accel, &cfg).expect("layer maps");
+    assert_eq!(
+        counter.get() - before,
+        es.draws.len() as u64,
+        "the replay must draw exactly what the search draws"
+    );
+    LayerDraws {
+        layer,
+        cfg,
+        draws: es.draws,
+        rounds: es.rounds,
+    }
+}
+
+/// Where the inner mapping search spends a draw: thread-CPU µs per draw
+/// of the ask (`CemEs::ask_batch_into`), decode
+/// (`MappingEncoder::decode_into`) and evaluate
+/// (`CostModel::evaluate_with`) stages, and of a whole
+/// `search_layer_mapping_with`, over every distinct layer shape of
+/// `mobile_benchmarks()` on Eyeriss at the default mapping budget with
+/// the co-search's content-derived seeds. Decode and evaluate replay
+/// the searches' own draws; the ask stage replays their batch sizes on
+/// an untold optimizer (a diagonal draw costs the same whatever the
+/// distribution). `other` is the search's remainder: the resample
+/// automaton, `tell`, the heuristic seed and best-candidate copies.
+fn mapping_draw_stages() -> Value {
+    let model = naas_cost::CostModel::new();
+    let accel = naas_accel::baselines::eyeriss();
+    let base = MappingSearchConfig::default();
+    let design_fp = design_fingerprint(&accel, &base);
+    let mut seen = std::collections::HashSet::new();
+    let mut pipeline = EvalPipeline::new();
+    let records: Vec<LayerDraws> = naas_ir::models::mobile_benchmarks()
+        .iter()
+        .flat_map(|network| network.iter().cloned())
+        .filter(|layer| seen.insert(LayerKey::of(layer)))
+        .map(|layer| {
+            let cfg = MappingSearchConfig {
+                seed: layer_search_seed(base.seed, design_fp, &LayerKey::of(&layer)),
+                ..base
+            };
+            record_layer(&mut pipeline, &model, &accel, layer, cfg)
+        })
+        .collect();
+    let draws: usize = records.iter().map(|r| r.draws.len()).sum();
+    let encoder = MappingEncoder::new(accel.connectivity().ndim(), base.scheme);
+    let decoded: Vec<Vec<naas_mapping::Mapping>> = records
+        .iter()
+        .map(|r| {
+            r.draws
+                .iter()
+                .map(|theta| encoder.decode(theta, &r.layer, accel.connectivity()))
+                .collect()
+        })
+        .collect();
+    // A generation's first round asks one theta per slot: the widest.
+    let mut thetas = vec![Vec::new(); base.population];
+    let mut slot = naas_mapping::Mapping::new(Vec::new(), naas_ir::DIMS);
+    let mut scratch = naas_cost::EvalScratch::new();
+
+    let (mut ask, mut decode, mut evaluate, mut search) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..STAGE_RUNS {
+        ask.push(cpu_us_per_draw(draws, || {
+            for r in &records {
+                let mut es = CemEs::new(encoder.dim(), r.cfg.es, r.cfg.seed);
+                for &n in &r.rounds {
+                    es.ask_batch_into(&mut thetas[..n]);
+                }
+            }
+            std::hint::black_box(&thetas);
+        }));
+        decode.push(cpu_us_per_draw(draws, || {
+            for r in &records {
+                for theta in &r.draws {
+                    encoder.decode_into(theta, &r.layer, accel.connectivity(), &mut slot);
+                }
+            }
+            std::hint::black_box(&slot);
+        }));
+        evaluate.push(cpu_us_per_draw(draws, || {
+            for (r, mappings) in records.iter().zip(&decoded) {
+                for mapping in mappings {
+                    let cost = model.evaluate_with(&mut scratch, &r.layer, &accel, mapping);
+                    std::hint::black_box(cost.ok());
+                }
+            }
+        }));
+        search.push(cpu_us_per_draw(draws, || {
+            for r in &records {
+                std::hint::black_box(search_layer_mapping_with(
+                    &mut pipeline,
+                    &model,
+                    &r.layer,
+                    &accel,
+                    &r.cfg,
+                ));
+            }
+        }));
+    }
+    let [ask, decode, evaluate, search] = [ask, decode, evaluate, search].map(median);
+    obj(vec![
+        ("design", Value::Str(accel.name().to_string())),
+        ("layer_shapes", Value::U64(records.len() as u64)),
+        ("population", Value::U64(base.population as u64)),
+        ("iterations", Value::U64(base.iterations as u64)),
+        ("draws_per_pass", Value::U64(draws as u64)),
+        ("runs", Value::U64(STAGE_RUNS as u64)),
+        ("ask_us_per_draw", Value::F64(ask)),
+        ("decode_us_per_draw", Value::F64(decode)),
+        ("evaluate_us_per_draw", Value::F64(evaluate)),
+        ("search_us_per_draw", Value::F64(search)),
+        (
+            "other_us_per_draw",
+            Value::F64(search - ask - decode - evaluate),
+        ),
+        ("ask_share", Value::F64(ask / search)),
+        ("decode_share", Value::F64(decode / search)),
+        ("evaluate_share", Value::F64(evaluate / search)),
+    ])
 }
 
 fn service_throughput() -> Value {
@@ -241,9 +477,7 @@ fn straggler_run(delays: &[u64]) -> (Vec<f64>, naas::SchedulerStats) {
 /// Median of the generations after the first (generation 0 is excluded:
 /// it runs before any throughput EWMA exists).
 fn warm_median_ms(gens: &[f64]) -> f64 {
-    let mut warm: Vec<f64> = gens[1..].to_vec();
-    warm.sort_by(|a, b| a.partial_cmp(b).expect("elapsed times are finite"));
-    warm[warm.len() / 2]
+    median(gens[1..].to_vec())
 }
 
 /// The straggler workload: 4 workers, one 4× slower. Per-generation
@@ -446,6 +680,8 @@ fn main() {
 
     eprintln!("bench_json: timing mapping_throughput workloads...");
     let mapping = mapping_throughput();
+    eprintln!("bench_json: timing mapping_draw_stages...");
+    let stages = mapping_draw_stages();
     eprintln!("bench_json: timing service_throughput workloads...");
     let service = service_throughput();
     eprintln!("bench_json: timing distributed_throughput workloads...");
@@ -461,11 +697,13 @@ fn main() {
                 "median wall-clock ms of the mapping_throughput, service_throughput, \
                  distributed_throughput (straggler + small-generation joint_unit \
                  workloads) and pareto_search benchmark workloads (see \
-                 crates/bench/benches/, naas::distributed and naas::pareto)"
+                 crates/bench/benches/, naas::distributed and naas::pareto); \
+                 mapping_draw_stages is median thread-CPU us per inner-search draw"
                     .to_string(),
             ),
         ),
         ("mapping_throughput", mapping),
+        ("mapping_draw_stages", stages),
         ("service_throughput", service),
         ("distributed_throughput", distributed),
         ("pareto_search", pareto),

@@ -1149,35 +1149,35 @@ impl<S: WireService> ServiceServer<S> {
     /// stream's responses are already flushed; the caller should
     /// [`ServiceServer::drain`] and persist). Connection threads are
     /// detached: a lingering sibling connection cannot block shutdown,
-    /// and per-connection I/O errors end that connection only. The
-    /// accept loop polls a shutdown flag (non-blocking accept, short
-    /// sleep when idle), so noticing shutdown never depends on another
-    /// connection arriving.
+    /// and per-connection I/O errors end that connection only.
+    ///
+    /// The acceptor blocks in `accept`, so a new connection is served
+    /// as soon as it arrives. The connection thread that handles
+    /// `shutdown` sets a stop flag and then wakes the acceptor with one
+    /// loopback connection to the listener's own address; an
+    /// unspecified bind address (`0.0.0.0`, `::`) is reached through
+    /// the loopback address of its family. The acceptor re-checks the
+    /// flag after every `accept`, so noticing shutdown never depends on
+    /// another client arriving.
     ///
     /// # Errors
     ///
-    /// Propagates `accept` failures on the listener itself.
+    /// Propagates `accept` and `local_addr` failures on the listener
+    /// itself.
     pub fn serve_listener(
         self: &Arc<Self>,
         listener: std::net::TcpListener,
     ) -> std::io::Result<bool> {
         use std::sync::atomic::{AtomicBool, Ordering};
+        let wake = wake_addr(listener.local_addr()?);
         let stop = Arc::new(AtomicBool::new(false));
-        listener.set_nonblocking(true)?;
         loop {
+            let accepted = listener.accept();
             if stop.load(Ordering::SeqCst) {
                 return Ok(true);
             }
-            let stream = match listener.accept() {
+            let stream = match accepted {
                 Ok((stream, _)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Short poll: coordinators re-dial mid-run (e.g.
-                    // after abandoning a conversation with orphaned
-                    // speculative flights), and accept latency lands
-                    // directly on the next generation's critical path.
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    continue;
-                }
                 // A connection that died before accept() completed (port
                 // scan, health probe, reset handshake) is that client's
                 // problem, not the listener's — keep serving.
@@ -1193,11 +1193,6 @@ impl<S: WireService> ServiceServer<S> {
                 }
                 Err(e) => return Err(e),
             };
-            // The listener is non-blocking; the per-connection streams
-            // must not be (portably, accepted sockets may inherit it).
-            if stream.set_nonblocking(false).is_err() {
-                continue;
-            }
             // Replies are single JSON lines; leaving Nagle on makes
             // each one wait out the peer's delayed ACK.
             let _ = stream.set_nodelay(true);
@@ -1210,6 +1205,9 @@ impl<S: WireService> ServiceServer<S> {
                 };
                 if let Ok(true) = server.serve_stream(reader, &stream) {
                     stop.store(true, Ordering::SeqCst);
+                    // The flag is set before this connection exists, so
+                    // the `accept` that returns it sees the flag.
+                    let _ = std::net::TcpStream::connect(wake);
                 }
             });
         }
@@ -1237,6 +1235,20 @@ impl<S: WireService> Drop for ServiceServer<S> {
             let _ = handle.join();
         }
     }
+}
+
+/// The address a connection thread dials to wake the acceptor of a
+/// listener bound to `local`: the same port, with an unspecified IP
+/// (`0.0.0.0`, `::`) replaced by the loopback address of its family.
+fn wake_addr(mut local: std::net::SocketAddr) -> std::net::SocketAddr {
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+    if local.ip().is_unspecified() {
+        local.set_ip(match local.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    local
 }
 
 #[cfg(test)]

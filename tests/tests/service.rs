@@ -752,3 +752,36 @@ fn malformed_joint_unit_layers_get_error_responses() {
     )));
     assert_eq!(ok.get("count").and_then(Value::as_u64), Some(1));
 }
+
+/// `serve_listener` returns `Ok(true)` once a connection sends
+/// `shutdown`, although no other client ever connects and an idle
+/// sibling connection stays open: the shutdown handler wakes the
+/// blocking `accept` itself — directly on a loopback bind, and through
+/// the loopback address on an unspecified (`0.0.0.0`) bind.
+#[test]
+fn listener_returns_after_shutdown_without_another_client() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let listener = TcpListener::bind(bind).expect("bind an ephemeral port");
+        let addr = ("127.0.0.1", listener.local_addr().unwrap().port());
+        let server = Arc::new(ServiceServer::start(Arc::new(service(1))));
+        let (done, returned) = std::sync::mpsc::channel();
+        let acceptor = std::thread::spawn(move || {
+            let _ = done.send(server.serve_listener(listener).map_err(|e| e.to_string()));
+        });
+        let idle = TcpStream::connect(addr).expect("idle sibling connects");
+        let mut requester = TcpStream::connect(addr).expect("requester connects");
+        writeln!(requester, r#"{{"id":1,"cmd":"shutdown"}}"#).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&requester).read_line(&mut reply).unwrap();
+        assert_eq!(result_of(&reply), Value::Str("shutting down".into()));
+        let outcome = returned
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{bind}: the listener never noticed the shutdown"));
+        assert_eq!(outcome, Ok(true), "{bind}");
+        acceptor.join().expect("the acceptor thread panicked");
+        drop(idle);
+    }
+}
