@@ -1,12 +1,11 @@
-//! Machine-readable perf snapshot: re-runs the `mapping_throughput` and
-//! `service_throughput` benchmark workloads — plus a
-//! `mapping_draw_stages` split of one inner-search draw into its ask,
-//! decode and evaluate stages, a `distributed_throughput` straggler
-//! workload over a live in-process fleet and a `pareto_search` workload
-//! comparing scalar-objective and Pareto-archive search at the same
-//! seed and budget — and writes one JSON summary: the `BENCH_*.json`
-//! trajectory that future optimization PRs (surrogate pre-filter, SIMD
-//! hot path) are judged against.
+//! Machine-readable perf snapshot: re-runs the `mapping_throughput`
+//! benchmark workload — plus a `mapping_draw_stages` split of one
+//! inner-search draw into its ask, decode and evaluate stages, a
+//! `distributed_throughput` straggler workload over a live in-process
+//! fleet and a `pareto_search` workload comparing scalar-objective and
+//! Pareto-archive search at the same seed and budget — and writes one
+//! JSON summary: the `BENCH_*.json` trajectory that future optimization
+//! PRs (surrogate pre-filter, SIMD hot path) are judged against.
 //!
 //! ```text
 //! cargo run -p naas-bench --release --bin bench_json [-- OUT.json]
@@ -139,18 +138,32 @@ fn mapping_throughput() -> Value {
 /// Timed runs of the `mapping_draw_stages` workload; each stage reports
 /// the median of these.
 const STAGE_RUNS: usize = 5;
-/// Thread CPU each timed stage loop spends at least: the CPU clock
-/// below advances in scheduler ticks (4 ms at `HZ=250`), so a 200 ms
-/// window bounds the quantization error at ≈2%.
+/// Thread CPU each timed stage loop spends at least. The clock below is
+/// exact; the window only makes one measurement average over many
+/// passes, so a single preemption or cache-cold pass barely moves it.
 const STAGE_MIN_CPU_NS: u64 = 200_000_000;
 
+extern "C" {
+    fn clock_gettime(clock: std::ffi::c_int, now: *mut [std::ffi::c_long; 2]) -> std::ffi::c_int;
+}
+
+/// Linux's clock id for the calling thread's CPU time.
+const CLOCK_THREAD_CPUTIME_ID: std::ffi::c_int = 3;
+
 /// On-CPU nanoseconds of the calling thread, from
-/// `/proc/thread-self/schedstat` (Linux only).
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` (Linux): exact to the
+/// nanosecond, where `/proc/thread-self/schedstat` only advances in
+/// whole scheduler ticks.
 fn thread_cpu_ns() -> u64 {
-    std::fs::read_to_string("/proc/thread-self/schedstat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next()?.parse().ok())
-        .expect("mapping_draw_stages reads /proc/thread-self/schedstat (Linux only)")
+    // A `struct timespec`: seconds, then nanoseconds.
+    let mut now = [0; 2];
+    // SAFETY: `now` is a valid, writable `timespec` for the call.
+    assert_eq!(
+        unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut now) },
+        0,
+        "clock_gettime failed"
+    );
+    now[0] as u64 * 1_000_000_000 + now[1] as u64
 }
 
 /// Thread-CPU µs per draw of `pass`, which makes `draws` draws per
@@ -359,61 +372,6 @@ fn mapping_draw_stages() -> Value {
         ("ask_share", Value::F64(ask / search)),
         ("decode_share", Value::F64(decode / search)),
         ("evaluate_share", Value::F64(evaluate / search)),
-    ])
-}
-
-fn service_throughput() -> Value {
-    let layer = naas_ir::ConvSpec::conv2d("c", 64, 128, (28, 28), (3, 3), 1, 1).unwrap();
-    let accel = naas_accel::baselines::eyeriss();
-    let encoder = MappingEncoder::new(accel.connectivity().ndim(), EncodingScheme::Importance);
-    let mut sampler = RandomSearch::new(encoder.dim(), 3);
-    let mappings: Vec<naas_mapping::Mapping> = (0..POPULATION)
-        .map(|_| encoder.decode(&sampler.ask(), &layer, accel.connectivity()))
-        .collect();
-
-    let layer_json = serde_json::to_string(&layer).unwrap();
-    let scalar_requests: Vec<String> = mappings
-        .iter()
-        .map(|m| {
-            format!(
-                r#"{{"id":1,"cmd":"evaluate_batch","layer":{},"design":"Eyeriss","mappings":[{}]}}"#,
-                layer_json,
-                serde_json::to_string(m).unwrap()
-            )
-        })
-        .collect();
-    let batched_request = format!(
-        r#"{{"id":1,"cmd":"evaluate_batch","layer":{},"design":"Eyeriss","mappings":{}}}"#,
-        layer_json,
-        serde_json::to_string(&mappings).unwrap()
-    );
-
-    let service = BatchEvalService::new(ServiceConfig {
-        threads: 1,
-        mapping: MappingSearchConfig::quick(7),
-        eval_delay_us: 0,
-    })
-    .expect("no cache file");
-
-    let scalar_ms = median_ms(10, || {
-        for request in &scalar_requests {
-            std::hint::black_box(service.respond(request));
-        }
-    });
-    let batched_ms = median_ms(10, || {
-        std::hint::black_box(service.respond(&batched_request));
-    });
-    obj(vec![
-        ("population_64_scalar_requests_ms", Value::F64(scalar_ms)),
-        ("population_64_batched_request_ms", Value::F64(batched_ms)),
-        (
-            "batched_speedup",
-            Value::F64(if batched_ms > 0.0 {
-                scalar_ms / batched_ms
-            } else {
-                0.0
-            }),
-        ),
     ])
 }
 
@@ -682,8 +640,6 @@ fn main() {
     let mapping = mapping_throughput();
     eprintln!("bench_json: timing mapping_draw_stages...");
     let stages = mapping_draw_stages();
-    eprintln!("bench_json: timing service_throughput workloads...");
-    let service = service_throughput();
     eprintln!("bench_json: timing distributed_throughput workloads...");
     let distributed = distributed_throughput();
     eprintln!("bench_json: timing pareto_search workload...");
@@ -694,7 +650,7 @@ fn main() {
         (
             "description",
             Value::Str(
-                "median wall-clock ms of the mapping_throughput, service_throughput, \
+                "median wall-clock ms of the mapping_throughput, \
                  distributed_throughput (straggler + small-generation joint_unit \
                  workloads) and pareto_search benchmark workloads (see \
                  crates/bench/benches/, naas::distributed and naas::pareto); \
@@ -704,7 +660,6 @@ fn main() {
         ),
         ("mapping_throughput", mapping),
         ("mapping_draw_stages", stages),
-        ("service_throughput", service),
         ("distributed_throughput", distributed),
         ("pareto_search", pareto),
     ]);
@@ -739,5 +694,23 @@ mod tests {
 
         assert_eq!(bench_label("BENCH_11.json"), "BENCH_11");
         assert_eq!(bench_label("out/nightly.json"), "nightly");
+    }
+
+    /// The thread-CPU clock resolves far below a scheduler tick: spinning
+    /// on it, every step is well under a millisecond (a tick-based clock
+    /// steps by a whole 4 ms tick after its first, partial step).
+    #[test]
+    fn thread_cpu_clock_steps_below_a_scheduler_tick() {
+        let mut last = thread_cpu_ns();
+        for _ in 0..3 {
+            let now = loop {
+                let now = thread_cpu_ns();
+                if now != last {
+                    break now;
+                }
+            };
+            assert!(now - last < 1_000_000, "step of {} ns", now - last);
+            last = now;
+        }
     }
 }

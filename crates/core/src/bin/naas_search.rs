@@ -43,7 +43,10 @@
 //! `serve` starts the batch-evaluation service: one resident engine
 //! (work-stealing pool, memo totals) answering JSONL requests on
 //! stdin/stdout and — with `--port` — on a TCP socket, coalescing
-//! concurrent in-flight requests into batched pipeline calls. See
+//! concurrent in-flight requests into batched pipeline calls. Its own
+//! user's request is `score_design` (one design × a scenario's
+//! benchmark suite); coordinators send it `evaluate_shard`. A
+//! `shutdown` exits once every queued response has been written. See
 //! `naas::service` for the protocol and `docs/PROTOCOL.md` for the wire
 //! spec. `client` connects to a serving process and bridges stdin/stdout
 //! to it.
@@ -854,14 +857,13 @@ fn cmd_gateway(args: &Args) {
 }
 
 /// The shutdown path shared by `serve --port`, `worker` and `gateway`:
-/// drain the batcher (every queued request across all connections gets
-/// its response computed and handed to its stream), then exit 0. The stream that requested shutdown is fully flushed
-/// before this runs; sibling connections get a grace period to flush
-/// their final responses — best-effort, since a sibling stalled on TCP
-/// backpressure cannot be waited out forever.
+/// drain (every queued request across all connections is answered and
+/// written by its stream), then exit 0. The stream that requested
+/// shutdown is fully flushed before this runs; idle siblings are not
+/// waited for, and a sibling stalled on TCP backpressure only up to
+/// `drain`'s cap.
 fn finish_and_exit<S: naas::WireService>(server: &naas::ServiceServer<S>) -> ! {
     server.drain();
-    std::thread::sleep(std::time::Duration::from_millis(200));
     exit(0);
 }
 

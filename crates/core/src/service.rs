@@ -17,10 +17,7 @@
 //! | `hello`          | protocol version + capability list (the handshake)  |
 //! | `list_scenarios` | the scenario registry                               |
 //! | `score_design`   | one design × one scenario's benchmark suite         |
-//! | `search_layer`   | best mapping for one layer on one design            |
-//! | `evaluate_batch` | a population of mappings via `CostModel::evaluate_batch` |
 //! | `evaluate_shard` | a shard of outer-search candidates (the distributed fan-out primitive; accel or joint mode) |
-//! | `search_step`    | one generation of a serialized accel or joint search state |
 //! | `cache_stats`    | the engine's memo hit/miss totals                   |
 //! | `metrics`        | a full process telemetry snapshot ([`naas_engine::telemetry`]) |
 //! | `shutdown`       | acknowledges, then the server drains and exits      |
@@ -41,19 +38,18 @@
 //! reported as an error response — one bad request must not abort a
 //! process other clients are sharing.
 
-use crate::accel_search::{self, AccelSearchState};
+use crate::accel_search;
 use crate::engine::{CoSearchEngine, MappingMemo};
 use crate::mapping_search::{self, MappingSearchConfig};
 use crate::reward::RewardKind;
 use naas_accel::Accelerator;
-use naas_cost::{CostModel, LayerCost};
+use naas_cost::CostModel;
 use naas_engine::service::{error_line, ok_line, Batcher, ParseFailure, Request};
 use naas_engine::telemetry;
 use naas_engine::{parallel_map, scenario, CheckpointError};
 use naas_ir::{ConvKind, ConvSpec};
-use naas_mapping::Mapping;
 use naas_nas::{AccuracyModel, NasConfig};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -113,7 +109,6 @@ pub struct ServiceConfig {
 /// `job_*` command family advertise it.
 pub const CAPABILITIES: &[&str] = &[
     "evaluate_shard",
-    "search_step",
     "joint",
     "joint_unit",
     "metrics",
@@ -200,12 +195,12 @@ pub struct BatchEvalService {
     delay_gate: std::sync::Mutex<()>,
 }
 
-/// The layer parameter of `search_layer` / `evaluate_batch`: the numeric
-/// shape of a convolution. Matches the serde shape of [`ConvSpec`]
+/// One layer object of `evaluate_shard`'s `joint_unit.layers`: the
+/// numeric shape of a convolution. Matches the serde shape of [`ConvSpec`]
 /// itself, so serialized library specs are valid request payloads; the
 /// decoded fields are re-validated through [`ConvSpec::new`] before any
 /// evaluation sees them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 struct LayerParams {
     name: Option<String>,
     kind: Option<ConvKind>,
@@ -249,15 +244,6 @@ impl LayerParams {
     }
 }
 
-fn layer_cost_value(cost: &LayerCost) -> Value {
-    Value::Object(vec![
-        ("edp".to_string(), Value::F64(cost.edp())),
-        ("cycles".to_string(), Value::U64(cost.cycles)),
-        ("energy_pj".to_string(), Value::F64(cost.energy_pj)),
-        ("utilization".to_string(), Value::F64(cost.utilization)),
-    ])
-}
-
 impl BatchEvalService {
     /// Creates the service.
     ///
@@ -293,8 +279,9 @@ impl BatchEvalService {
 
     /// [`BatchEvalService::respond`] on an already-parsed request — the
     /// server path, which frames each line once in the stream reader and
-    /// carries the parse through the batcher (a batched `evaluate_batch`
-    /// request is mostly parse cost; parsing twice would double it).
+    /// carries the parse through the batcher (an `evaluate_shard`
+    /// request carries whole serialized designs and often a scenario
+    /// object; parsing it twice would be wasted work).
     pub fn answer(&self, parsed: &Result<Request, ParseFailure>) -> String {
         let request = match parsed {
             Ok(request) => request,
@@ -328,10 +315,7 @@ impl BatchEvalService {
             "hello" => self.hello(request),
             "list_scenarios" => Ok(self.list_scenarios()),
             "score_design" => self.score_design(request),
-            "search_layer" => self.search_layer(request),
-            "evaluate_batch" => self.evaluate_batch(request),
             "evaluate_shard" => self.evaluate_shard(request),
-            "search_step" => self.search_step(request),
             "cache_stats" => Ok(self.cache_stats()),
             "metrics" => Ok(self.metrics()),
             "shutdown" => Ok(Value::Str("shutting down".to_string())),
@@ -460,17 +444,14 @@ impl BatchEvalService {
     }
 
     /// The `design` parameter: a baseline name (string) or a full
-    /// serialized [`Accelerator`] (object). `None` falls back to the
-    /// scenario's envelope baseline when one is in scope.
+    /// serialized [`Accelerator`] (object); absent, it is `default`.
     fn resolve_design(
         &self,
         request: &Request,
-        fallback: Option<&Accelerator>,
+        default: &Accelerator,
     ) -> Result<Accelerator, ServiceError> {
         match request.param("design") {
-            None => fallback.cloned().ok_or_else(|| {
-                ServiceError::BadRequest("`design` (name or design object) is required".into())
-            }),
+            None => Ok(default.clone()),
             Some(Value::Str(name)) => scenario::baseline_by_name(name)
                 .ok_or_else(|| ServiceError::NotFound(format!("design `{name}`"))),
             Some(value) => serde_json::from_value::<Accelerator>(value)
@@ -522,20 +503,13 @@ impl BatchEvalService {
         Ok(cfg)
     }
 
-    fn layer_param(&self, request: &Request) -> Result<ConvSpec, ServiceError> {
-        let value = request
-            .param("layer")
-            .ok_or_else(|| ServiceError::BadRequest("`layer` (object) is required".into()))?;
-        LayerParams::parse(value, "layer")
-    }
-
     /// `score_design`: one design against one scenario's benchmark
     /// suite through one memo for the request — the same call path (and
     /// therefore bit-identical results) as
     /// [`mapping_search::network_mapping_search_cached`].
     fn score_design(&self, request: &Request) -> Result<Value, ServiceError> {
         let job = self.resolve_scenario(request)?;
-        let design = self.resolve_design(request, Some(&job.baseline))?;
+        let design = self.resolve_design(request, &job.baseline)?;
         let cfg = self.mapping_config(request)?;
         let design_fp = mapping_search::design_fingerprint(&design, &cfg);
         let mut memo = MappingMemo::new();
@@ -596,74 +570,6 @@ impl BatchEvalService {
             ]));
         }
         Ok((per_network, edps))
-    }
-
-    /// `search_layer`: the inner mapping search for one layer on one
-    /// design, on this worker's recycled `EvalPipeline`.
-    fn search_layer(&self, request: &Request) -> Result<Value, ServiceError> {
-        let layer = self.layer_param(request)?;
-        let design = self.resolve_design(request, None)?;
-        let cfg = self.mapping_config(request)?;
-        let result = mapping_search::search_layer_mapping(&self.model, &layer, &design, &cfg)
-            .ok_or_else(|| {
-                ServiceError::Failed(format!(
-                    "no valid mapping for layer `{}` on design `{}` within budget",
-                    layer.name(),
-                    design.name()
-                ))
-            })?;
-        Ok(Value::Object(vec![
-            ("cost".to_string(), layer_cost_value(&result.cost)),
-            (
-                "evaluations".to_string(),
-                Value::U64(result.evaluations as u64),
-            ),
-            ("history".to_string(), serde_json::to_value(&result.history)),
-            ("mapping".to_string(), serde_json::to_value(&result.mapping)),
-        ]))
-    }
-
-    /// `evaluate_batch`: a whole population of mappings for one layer on
-    /// one design through [`CostModel::evaluate_batch`] — the
-    /// allocation-free batched path, using this worker's pipeline
-    /// scratch. Per-mapping failures are per-entry results, not request
-    /// failures.
-    fn evaluate_batch(&self, request: &Request) -> Result<Value, ServiceError> {
-        let layer = self.layer_param(request)?;
-        let design = self.resolve_design(request, None)?;
-        let mappings_value = request
-            .param("mappings")
-            .ok_or_else(|| ServiceError::BadRequest("`mappings` (array) is required".into()))?;
-        let mappings: Vec<Mapping> = serde_json::from_value(mappings_value)
-            .map_err(|e| ServiceError::BadRequest(format!("invalid mappings array: {e}")))?;
-
-        let mut results = Vec::with_capacity(mappings.len());
-        crate::pipeline::with_thread_pipeline(|pipeline| {
-            self.model.evaluate_batch(
-                &layer,
-                &design,
-                &mappings,
-                pipeline.scratch_mut(),
-                &mut results,
-            );
-        });
-        let entries: Vec<Value> = results
-            .iter()
-            .map(|r| match r {
-                Ok(cost) => Value::Object(vec![
-                    ("ok".to_string(), Value::Bool(true)),
-                    ("cost".to_string(), layer_cost_value(cost)),
-                ]),
-                Err(e) => Value::Object(vec![
-                    ("ok".to_string(), Value::Bool(false)),
-                    ("error".to_string(), Value::Str(e.to_string())),
-                ]),
-            })
-            .collect();
-        Ok(Value::Object(vec![
-            ("count".to_string(), Value::U64(entries.len() as u64)),
-            ("results".to_string(), Value::Array(entries)),
-        ]))
     }
 
     /// `evaluate_shard`: one shard of an outer-search generation — a
@@ -842,7 +748,8 @@ impl BatchEvalService {
     /// — and answers the unit's [`LayerCost`] (`null` = no feasible
     /// mapping). Each unit is a pure function of `(design, layer shape,
     /// mapping config)`, so where it lands never changes its answer.
-    /// Layers are validated like `search_layer`'s `layer` parameter.
+    /// Each layer is validated through [`ConvSpec::new`] before it is
+    /// searched.
     fn evaluate_joint_unit_shard(
         &self,
         joint_unit: &Value,
@@ -882,66 +789,6 @@ impl BatchEvalService {
             })
             .collect())
     }
-
-    /// `search_step`: advances a serialized search state by one
-    /// generation on this worker and returns the updated state — a whole
-    /// remote-driven search for thin clients (state out ≡ state the
-    /// equivalent local step call would produce, since the state embeds
-    /// every bit of search trajectory). With `joint: true` the state is
-    /// a [`crate::joint::JointSearchState`] (no scenario needed — the
-    /// NAS supplies the workload; an optional `accuracy` model overrides
-    /// the worker default); otherwise an [`AccelSearchState`] advanced
-    /// against the required scenario's suite. `advanced` is `false` when
-    /// the state's budget was already exhausted.
-    fn search_step(&self, request: &Request) -> Result<Value, ServiceError> {
-        let state_value = request.param("state").ok_or_else(|| {
-            ServiceError::BadRequest("`state` (search-state object) is required".into())
-        })?;
-        let joint = match request.param("joint") {
-            None | Some(Value::Bool(false)) => false,
-            Some(Value::Bool(true)) => true,
-            Some(_) => {
-                return Err(ServiceError::BadRequest(
-                    "`joint` must be a boolean in search_step".into(),
-                ))
-            }
-        };
-        if joint {
-            let mut state: crate::joint::JointSearchState = serde_json::from_value(state_value)
-                .map_err(|e| {
-                    ServiceError::BadRequest(format!("invalid joint search state: {e}"))
-                })?;
-            let accuracy: AccuracyModel = match request.param("accuracy") {
-                None => AccuracyModel::default(),
-                Some(value) => serde_json::from_value(value).map_err(|e| {
-                    ServiceError::BadRequest(format!("invalid accuracy model: {e}"))
-                })?,
-            };
-            let advanced =
-                crate::joint::joint_search_step(&self.engine, &self.model, &accuracy, &mut state);
-            return Ok(Self::search_step_reply(advanced, state.is_done(), &state));
-        }
-        let job = self.resolve_scenario(request)?;
-        if job.networks.is_empty() {
-            return Err(ServiceError::BadRequest(
-                "scenario has no benchmark networks".into(),
-            ));
-        }
-        let mut state: AccelSearchState = serde_json::from_value(state_value)
-            .map_err(|e| ServiceError::BadRequest(format!("invalid search state: {e}")))?;
-        let advanced =
-            accel_search::accel_search_step(&self.engine, &self.model, &job.networks, &mut state);
-        Ok(Self::search_step_reply(advanced, state.is_done(), &state))
-    }
-
-    /// The common `search_step` reply shape for both state kinds.
-    fn search_step_reply<S: Serialize>(advanced: bool, done: bool, state: &S) -> Value {
-        Value::Object(vec![
-            ("advanced".to_string(), Value::Bool(advanced)),
-            ("done".to_string(), Value::Bool(done)),
-            ("state".to_string(), serde_json::to_value(state)),
-        ])
-    }
 }
 
 /// One queued request: the framed request (parsed once, in the stream
@@ -973,14 +820,31 @@ pub struct ServiceServer<S: WireService = BatchEvalService> {
     service: Arc<S>,
     batcher: Arc<Batcher<InFlight>>,
     scheduler: Option<std::thread::JoinHandle<()>>,
-    drained: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    drained: Arc<(std::sync::Mutex<DrainState>, std::sync::Condvar)>,
 }
+
+/// What [`ServiceServer::drain`] waits for: the scheduler's exit, then
+/// no response owed to a [`ServiceServer::serve_stream`] peer (read but
+/// not yet written, or given up on after a write failure).
+#[derive(Debug, Default)]
+struct DrainState {
+    scheduler_done: bool,
+    unwritten: i64,
+}
+
+/// How long [`ServiceServer::drain`] waits for streams to write the
+/// responses it released. Only a stream stalled on backpressure (a peer
+/// that stopped reading) ever reaches it.
+const DRAIN_WRITE_CAP: std::time::Duration = std::time::Duration::from_millis(200);
 
 impl<S: WireService> ServiceServer<S> {
     /// Starts the scheduler thread over `service`.
     pub fn start(service: Arc<S>) -> Self {
         let batcher: Arc<Batcher<InFlight>> = Arc::new(Batcher::new());
-        let drained = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let drained = Arc::new((
+            std::sync::Mutex::new(DrainState::default()),
+            std::sync::Condvar::new(),
+        ));
         let scheduler = {
             let service = Arc::clone(&service);
             let batcher = Arc::clone(&batcher);
@@ -997,8 +861,11 @@ impl<S: WireService> ServiceServer<S> {
                         let _ = job.reply.send((job.seq, response));
                     }
                 }
-                let (flag, signal) = &*drained;
-                *flag.lock().unwrap_or_else(|p| p.into_inner()) = true;
+                let (state, signal) = &*drained;
+                state
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .scheduler_done = true;
                 signal.notify_all();
             })
         };
@@ -1026,16 +893,33 @@ impl<S: WireService> ServiceServer<S> {
         })
     }
 
-    /// Refuses new work and blocks until every queued request has been
-    /// answered (responses handed to their streams' channels). Used by
-    /// the `--port` server before process exit, where the blocked accept
-    /// loop prevents a consuming [`ServiceServer::stop`].
+    /// Refuses new work, blocks until every queued request has been
+    /// answered, then until every [`ServiceServer::serve_stream`] stream
+    /// has written the responses it is owed. An idle stream owes
+    /// nothing and is not waited for; a stream stalled on backpressure
+    /// is given up on after 200 ms. Used by the `--port` server before
+    /// process exit, where the blocked accept loop prevents a consuming
+    /// [`ServiceServer::stop`].
     pub fn drain(&self) {
         self.batcher.close();
-        let (flag, signal) = &*self.drained;
-        let mut done = flag.lock().unwrap_or_else(|p| p.into_inner());
-        while !*done {
-            done = signal.wait(done).unwrap_or_else(|p| p.into_inner());
+        let (state, signal) = &*self.drained;
+        let state = signal
+            .wait_while(state.lock().unwrap_or_else(|p| p.into_inner()), |s| {
+                !s.scheduler_done
+            })
+            .unwrap_or_else(|p| p.into_inner());
+        let _ = signal.wait_timeout_while(state, DRAIN_WRITE_CAP, |s| s.unwritten > 0);
+    }
+
+    /// Adds `delta` to the responses streams owe their peers (`+1` per
+    /// request read, `-1` per response written or given up on) and wakes
+    /// [`Self::drain`] once none are owed.
+    fn owe(&self, delta: i64) {
+        let (state, signal) = &*self.drained;
+        let mut state = state.lock().unwrap_or_else(|p| p.into_inner());
+        state.unwritten += delta;
+        if state.unwritten == 0 {
+            signal.notify_all();
         }
     }
 
@@ -1087,6 +971,9 @@ impl<S: WireService> ServiceServer<S> {
                         Ok(request) => request.id.clone(),
                         Err(failure) => failure.id.clone(),
                     };
+                    // Owed from here on, whether the scheduler or the
+                    // refusal below answers it.
+                    self.owe(1);
                     let accepted = self.batcher.push(InFlight {
                         request,
                         seq,
@@ -1115,17 +1002,23 @@ impl<S: WireService> ServiceServer<S> {
             let mut pending: BTreeMap<u64, String> = BTreeMap::new();
             let mut write_error: Option<std::io::Error> = None;
             for (seq, response) in rx {
-                if write_error.is_some() {
-                    continue; // keep draining so the channel empties
-                }
                 pending.insert(seq, response);
+                // After a write failure `next_seq` never arrives again.
                 while let Some(response) = pending.remove(&next_seq) {
-                    if let Err(e) = writeln!(writer, "{response}").and_then(|_| writer.flush()) {
+                    let written = writeln!(writer, "{response}").and_then(|_| writer.flush());
+                    self.owe(-1);
+                    if let Err(e) = written {
                         stream_dead_flag.store(true, Ordering::SeqCst);
                         write_error = Some(e);
                         break;
                     }
                     next_seq += 1;
+                }
+                if write_error.is_some() {
+                    // Nothing more reaches this peer; keep draining so
+                    // the channel empties, owing nothing.
+                    self.owe(-(pending.len() as i64));
+                    pending.clear();
                 }
             }
             reader_handle.join().expect("stream reader panicked")?;
@@ -1141,13 +1034,14 @@ impl<S: WireService> ServiceServer<S> {
     /// Accepts TCP connections on `listener` and serves each on its own
     /// thread ([`ServiceServer::serve_stream`]) until some stream issues
     /// a `shutdown` command. This is the whole of `naas-search worker`:
-    /// a coordinator (or several) connects, fans `evaluate_shard` /
-    /// `search_step` requests in, and requests from every connection
-    /// coalesce in the shared batcher like any other service traffic.
+    /// a coordinator (or several) connects, fans `evaluate_shard`
+    /// requests in, and requests from every connection coalesce in the
+    /// shared batcher like any other service traffic.
     ///
     /// Returns `Ok(true)` after a shutdown request (the requesting
     /// stream's responses are already flushed; the caller should
-    /// [`ServiceServer::drain`] and persist). Connection threads are
+    /// [`ServiceServer::drain`], which also waits for sibling streams to
+    /// write what they are owed, and persist). Connection threads are
     /// detached: a lingering sibling connection cannot block shutdown,
     /// and per-connection I/O errors end that connection only.
     ///
@@ -1284,13 +1178,25 @@ mod tests {
     #[test]
     fn unknown_command_and_garbage_get_error_responses() {
         let s = service();
-        let resp = parse(&s.respond(r#"{"id": 2, "cmd": "frobnicate"}"#));
-        assert_eq!(resp.get("ok"), Some(&Value::Bool(false)));
-        assert!(resp
-            .get("error")
-            .and_then(Value::as_str)
-            .unwrap()
-            .contains("frobnicate"));
+        // `frobnicate` never existed; the others are removed commands an
+        // older client may still send.
+        for (id, cmd) in [
+            (2, "frobnicate"),
+            (20, "search_step"),
+            (21, "search_layer"),
+            (22, "evaluate_batch"),
+        ] {
+            let resp = parse(&s.respond(&format!(r#"{{"id": {id}, "cmd": "{cmd}"}}"#)));
+            assert_eq!(resp.get("ok"), Some(&Value::Bool(false)), "{cmd}");
+            assert_eq!(resp.get("id"), Some(&Value::U64(id)), "{cmd}");
+            assert!(
+                resp.get("error")
+                    .and_then(Value::as_str)
+                    .unwrap()
+                    .contains(&format!("unknown command `{cmd}`")),
+                "{cmd}: {resp:?}"
+            );
+        }
         let resp = parse(&s.respond("{torn line"));
         assert_eq!(resp.get("ok"), Some(&Value::Bool(false)));
     }
@@ -1327,12 +1233,17 @@ mod tests {
             .get("capabilities")
             .and_then(Value::as_array)
             .expect("capability array");
-        for required in CAPABILITIES {
-            assert!(
-                caps.iter().any(|c| c.as_str() == Some(required)),
-                "missing capability {required}"
-            );
-        }
+        let caps: Vec<&str> = caps.iter().filter_map(Value::as_str).collect();
+        assert_eq!(
+            caps,
+            [
+                "evaluate_shard",
+                "joint",
+                "joint_unit",
+                "metrics",
+                "objectives"
+            ]
+        );
         // A stated mismatching version is refused cleanly.
         let resp = parse(&s.respond(r#"{"id": 11, "cmd": "hello", "protocol": 1}"#));
         assert_eq!(resp.get("ok"), Some(&Value::Bool(false)));

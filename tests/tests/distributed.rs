@@ -300,46 +300,6 @@ fn total_fleet_loss_falls_back_to_local_evaluation() {
     assert_eq!(coordinator.live_workers(), 0);
 }
 
-/// `search_step` over the wire: a thin client can drive a whole search
-/// remotely by round-tripping the serialized state, and the trajectory
-/// matches the in-process one exactly.
-#[test]
-fn remote_search_step_reproduces_local_trajectory() {
-    let (scenario, networks) = scenario_fixture();
-    let cfg = search_cfg(53);
-    let local = run_local(&cfg, &networks);
-
-    let job = scenario.resolve().unwrap();
-    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
-    let mut worker = naas_engine::RemoteWorker::new(spawn_worker(1).to_string());
-    let scenario_value = serde_json::to_value(&scenario);
-    loop {
-        let reply = worker
-            .call(
-                "search_step",
-                vec![
-                    ("scenario".to_string(), scenario_value.clone()),
-                    ("state".to_string(), serde_json::to_value(&state)),
-                ],
-            )
-            .expect("remote step succeeds");
-        let advanced = reply.get("advanced") == Some(&Value::Bool(true));
-        state = serde_json::from_value(reply.get("state").expect("reply carries state"))
-            .expect("state round-trips");
-        if !advanced {
-            panic!("remote step refused before the budget was exhausted");
-        }
-        if reply.get("done") == Some(&Value::Bool(true)) {
-            break;
-        }
-    }
-    let remote = state.into_result().expect("search finds a design");
-    assert_eq!(remote.best.accelerator, local.best.accelerator);
-    assert_eq!(remote.best.reward, local.best.reward);
-    assert_eq!(remote.history, local.history);
-    assert_eq!(remote.evaluations, local.evaluations);
-}
-
 /// Memos die with their candidate: every hit of an accelerator search is
 /// a repeated layer shape inside one candidate, and a candidate is
 /// evaluated whole on one worker. So the fleet-summed memo counters a
@@ -550,51 +510,6 @@ fn distributed_joint_search_survives_worker_death() {
         distributed, local,
         "worker death must not change the joint result"
     );
-}
-
-/// Joint `search_step` over the wire: a thin client round-trips a
-/// serialized `JointSearchState` with `joint: true` and reproduces the
-/// in-process joint trajectory exactly.
-#[test]
-fn remote_joint_search_step_reproduces_local_trajectory() {
-    let model = CostModel::new();
-    let accuracy = naas_nas::AccuracyModel::default();
-    let envelope = naas_accel::ResourceConstraint::from_design(&naas_accel::baselines::eyeriss());
-    let mut cfg = naas::JointConfig::quick(37);
-    cfg.accel.mapping = MappingSearchConfig::quick(7);
-    cfg.accel.threads = 1;
-
-    let engine = CoSearchEngine::new(1);
-    let mut state = naas::joint_search_init(&envelope, &cfg);
-    while naas::joint_search_step(&engine, &model, &accuracy, &mut state) {}
-    let local = state.into_result().expect("joint search finds a pair");
-
-    let mut state = naas::joint_search_init(&envelope, &cfg);
-    let mut worker = naas_engine::RemoteWorker::new(spawn_worker(1).to_string());
-    loop {
-        let reply = worker
-            .call(
-                "search_step",
-                vec![
-                    ("joint".to_string(), Value::Bool(true)),
-                    ("state".to_string(), serde_json::to_value(&state)),
-                    ("accuracy".to_string(), serde_json::to_value(&accuracy)),
-                ],
-            )
-            .expect("remote joint step succeeds");
-        assert_eq!(
-            reply.get("advanced"),
-            Some(&Value::Bool(true)),
-            "remote step refused before the budget was exhausted"
-        );
-        state = serde_json::from_value(reply.get("state").expect("reply carries state"))
-            .expect("joint state round-trips");
-        if reply.get("done") == Some(&Value::Bool(true)) {
-            break;
-        }
-    }
-    let remote = state.into_result().expect("joint search finds a pair");
-    assert_eq!(remote, local);
 }
 
 /// Permutation fuzzing of the merge path: heterogeneous per-worker
